@@ -188,12 +188,11 @@ def genus_bp_oracle(f: InvertiblePolynomial, G: DiagonalGroup) -> int:
 
 def stringy_euler(f: InvertiblePolynomial, G: DiagonalGroup) -> int:
     """2 - 2*genus + sum over the Dolgachev multiset of (alpha - 1)."""
-    g = genus(f, G)
-    A = dolgachev(f, G).multiset
-    return 2 - 2 * g + sum(a - 1 for a in A)
+    return curve_invariants(f, G).e_st
 
 
 def curve_invariants(f: InvertiblePolynomial, G: DiagonalGroup) -> CurveInvariants:
-    g = genus(f, G)
+    """Genus, Dolgachev multiset and stringy Euler number 2 - 2g + sum (alpha - 1)."""
     A = dolgachev(f, G).multiset
+    g = genus(f, G)
     return CurveInvariants(genus=g, dolgachev=A, e_st=2 - 2 * g + sum(a - 1 for a in A))

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import LGMirrorError
-from .curve_side import dolgachev, dolgachev_gfin, genus, orbit_invariants, stringy_euler
+from .curve_side import (
+    curve_invariants,
+    dolgachev,
+    dolgachev_gfin,
+    genus,
+    orbit_invariants,
+    stringy_euler,
+)
 from .cusp_side import gabrielov, gabrielov_prime
 from .ip_core import (
     InvertiblePolynomial,
@@ -103,15 +110,13 @@ class MirrorReport:
 
 def verify_mirror(f: InvertiblePolynomial, G: DiagonalGroup) -> MirrorReport:
     """Check the three mirror identities for G_0 <= G <= G^fin."""
-    A = dolgachev(f, G).multiset
-    g = genus(f, G)
-    e_st = 2 - 2 * g + sum(a - 1 for a in A)
+    ci = curve_invariants(f, G)
     GT = dual_group(f, G)
     gd = gabrielov(transpose(f), GT)
     return MirrorReport(
         polynomial=format_polynomial(f), group=format_group(G),
-        dolgachev=A, gabrielov=gd.multiset, genus=g, junior=gd.j,
-        e_st=e_st, mu=gd.milnor)
+        dolgachev=ci.dolgachev, gabrielov=gd.multiset, genus=ci.genus, junior=gd.j,
+        e_st=ci.e_st, mu=gd.milnor)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +319,7 @@ def _eval_curve(entry: CatalogEntry, summary: VerificationSummary):
         value, prov = exp["g0t"]
         GT = dual_group(f, g0_group(f))
         want = parse_group_spec(transpose(f), value)
-        ok = set(GT.elements) == set(want.elements)
-        summary.add(item, f"g0t [{prov}]", ok,
+        summary.add(item, f"g0t [{prov}]", GT == want,
                     f"computed {format_group(GT)}, expected {value}")
     if "dolgachev" in exp:
         computed = sorted(dolgachev(f, G).multiset)
@@ -352,8 +356,7 @@ def _eval_efimov(entry: CatalogEntry, summary: VerificationSummary):
     summary.add(item, "dual-contains-g0", contains_g0(Gc),
                 "dual of the given SL group misses g_0")
     back = dual_group(transpose(f), Gc)
-    summary.add(item, "double-dual", set(back.elements) == set(G.elements),
-                "(G^T)^T != G")
+    summary.add(item, "double-dual", back == G, "(G^T)^T != G")
     rep = verify_mirror(f, Gc)
     summary.add(item, "mirror", rep.all_ok, _mirror_detail(rep))
 
@@ -394,7 +397,7 @@ def run_corpus_verification(max_det: int = 300, max_exp: int = 8) -> Verificatio
                             "psi(f, G_0) != phi(f^T, G_0^T)")
             for G in subgroups_containing_g0(f):
                 rep = verify_mirror(f, G)
-                summary.add(f"{name} | {format_group(G)}", "mirror", rep.all_ok,
+                summary.add(f"{name} | {rep.group}", "mirror", rep.all_ok,
                             _mirror_detail(rep))
         except LGMirrorError as exc:
             summary.add(name, "evaluation", False, f"error: {exc}")
@@ -429,8 +432,8 @@ def analyze(f: InvertiblePolynomial, G: DiagonalGroup | None = None,
     tag = classify3(f)
     GT = dual_group(f, G)
     ft = transpose(f)
-    A = dolgachev(f, G).multiset
-    g = genus(f, G)
+    ci = curve_invariants(f, G)
+    A, g, e_st = ci.dolgachev, ci.genus, ci.e_st
     cp = gabrielov_prime(ft)
     gd = gabrielov(ft, GT)
     series: dict[str, dict | None] = {}
@@ -441,7 +444,6 @@ def analyze(f: InvertiblePolynomial, G: DiagonalGroup | None = None,
         series["poincare"] = None
         series["psi"] = None
     series["phi"] = equivariant_char_poly(ft, GT).to_json()
-    e_st = 2 - 2 * g + sum(a - 1 for a in A)
     return {
         "input": {
             "polynomial": format_polynomial(f),

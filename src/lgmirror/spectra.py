@@ -329,9 +329,8 @@ def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> LefschetzTab
     wt, dt = ws.w, ws.d
     d = canonical_weights(f).d
     scale = d // dt
-    # phases scaled to numerators mod d
-    scaled = [tuple(int(p * d) for p in h.phases) for h in G.elements]
-    fixes = [tuple(i for i, p in enumerate(g.phases) if p == 0) for g in G.elements]
+    scaled = G.rows  # numerators of the phases over d
+    fixes = [tuple(i for i, a in enumerate(u) if a == 0) for u in scaled]
     order = G.order
     values = []
     for k in range(1, dt + 1):

@@ -1,19 +1,28 @@
 """Finite diagonal symmetry groups of invertible polynomials.
 
-A diagonal symmetry is stored as its vector of phases: ``g`` acts on
-coordinate i by multiplication with e[phase_i] where e[x] = exp(2 pi i x).
-Membership in the maximal group of diagonal symmetries is the exact
-integrality test E . phases in Z^n; the dual-group pairing is evaluated
-through integer coordinate vectors.  Groups enumerate their elements
-eagerly, in lexicographic order, and are immutable.
+A diagonal symmetry acts on coordinate i by multiplication with e[u_i / d],
+where e[x] = exp(2 pi i x), d = |det E| and u is an integer vector mod d:
+every diagonal symmetry of f has order dividing d, so every group G of them
+is a subgroup of (Z/d)^n.  G is stored as the lattice G + dZ^n in Hermite
+normal form, an upper triangular integer basis whose pivots divide d.  The
+basis is canonical: two groups are equal exactly when their contexts and
+bases are, and |G| = d^n / (product of the pivots).
+
+Membership is reduction by the triangular basis, the Krawitz dual is an
+annihilator computed by integer linear algebra on n x n matrices, and the
+subgroup lattice between G_0 and G^fin is walked on bases.  Elements are
+enumerated only where an invariant needs them (junior counts, traces), and
+the formatter scans them lazily.  Phase vectors (exact ``Fraction`` phases)
+appear only at the boundary: parsing, formatting and the ``elements`` /
+``generators`` views.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import NotASubgroup, NotASymmetry, NotInvertible
@@ -82,34 +91,48 @@ def phase_vector(values) -> PhaseVector:
 
 @dataclass(frozen=True)
 class DiagonalGroup:
-    """A finite group of diagonal symmetries of ``context``.
+    """A finite group of diagonal symmetries of ``context``, inside (Z/d)^n.
 
-    ``elements`` is the full closure, sorted lexicographically by phase
-    tuples; ``order`` = len(elements).
+    ``basis`` is the Hermite normal form of the lattice G + dZ^n: row i is
+    zero before column i, its pivot h_i divides d, and the entries above a
+    pivot lie in [0, h_i).  Groups compare and hash by ``(context, basis)``;
+    ``order`` = d^n / prod h_i.  The views ``rows`` (every element as an
+    integer vector mod d), ``elements`` and ``generators`` (phase vectors)
+    are built on first use.
     """
 
     context: InvertiblePolynomial
-    generators: tuple[PhaseVector, ...]
-    elements: tuple[PhaseVector, ...]
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.context, self.generators, self.elements)))
+    basis: tuple[tuple[int, ...], ...]
+    d: int = field(compare=False, repr=False)
+    order: int = field(compare=False)
 
     def __contains__(self, g: PhaseVector) -> bool:
-        return g in _element_set(self)
+        if any(self.d % p.denominator for p in g.phases):
+            return False
+        return _member(self.basis, self.d, _scale(g, self.d))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every element as an integer vector mod d, in lexicographic order."""
+        d = self.d
+        rows = [(0,) * len(self.basis)]
+        for i, b in enumerate(self.basis):
+            rows = [tuple((a + c * x) % d for a, x in zip(u, b))
+                    for u in rows for c in range(d // b[i])]
+        return tuple(sorted(rows))
+
+    @cached_property
+    def elements(self) -> tuple[PhaseVector, ...]:
+        """Every element as a phase vector, in lexicographic order."""
+        return tuple(_unscale(u, self.d) for u in self.rows)
+
+    @property
+    def generators(self) -> tuple[PhaseVector, ...]:
+        """The basis rows that are non-zero mod d, as phase vectors."""
+        return tuple(_unscale(b, self.d) for b in _generator_rows(self))
 
     def __str__(self):
         return format_group(self)
-
-
-DiagonalGroup.__hash__ = lambda self: self._hash
-
-
-@lru_cache(maxsize=None)
-def _element_set(G: DiagonalGroup) -> frozenset:
-    return frozenset(G.elements)
 
 
 @dataclass(frozen=True)
@@ -120,7 +143,7 @@ class AgeReport:
 
 
 # ---------------------------------------------------------------------------
-# scaled-integer closure helpers (phases times d, arithmetic mod d)
+# integer vectors mod d and their lattices
 
 def _scale(g: PhaseVector, d: int) -> tuple[int, ...]:
     out = []
@@ -132,32 +155,109 @@ def _scale(g: PhaseVector, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unscale(t: tuple[int, ...], d: int) -> PhaseVector:
-    return PhaseVector(tuple(Fraction(a, d) for a in t))
+def _unscale(u: tuple[int, ...], d: int) -> PhaseVector:
+    return PhaseVector(tuple(Fraction(a, d) for a in u))
 
 
-def _closure_ints(gens: list[tuple[int, ...]], d: int, n: int) -> list[tuple[int, ...]]:
-    zero = (0,) * n
-    elements = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % d for a, b in zip(x, g))
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    return sorted(elements)
+def _order(u, d: int) -> int:
+    return d // gcd(d, *u)
 
 
-def _make_group(f: InvertiblePolynomial, gens: list[PhaseVector]) -> DiagonalGroup:
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _hnf(rows, d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite normal form of the lattice spanned by ``rows`` and d Z^n.
+
+    Column by column, the rows with a non-zero entry are folded into the row
+    d e_col by unimodular 2x2 steps (extended gcd), leaving one pivot row and
+    rows that vanish in that column.  Entries right of the current column
+    are kept mod d, which adds multiples of the rows d e_j still unused.
+    """
+    rows = [[x % d for x in r] for r in rows]
+    basis = []
+    for col in range(n):
+        pivot = [0] * n
+        pivot[col] = d
+        rest = []
+        for r in rows:
+            b = r[col]
+            if b == 0:
+                if any(r):
+                    rest.append(r)
+                continue
+            a = pivot[col]
+            g, x, y = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            other = [(bg * p - ag * q) % d for p, q in zip(pivot, r)]
+            pivot = [(x * p + y * q) % d for p, q in zip(pivot, r)]
+            pivot[col] = g
+            if any(other):
+                rest.append(other)
+        basis.append(pivot)
+        rows = rest
+    for j in range(n):
+        h = basis[j][j]
+        for i in range(j):
+            q = basis[i][j] // h
+            if q:
+                basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
+    return tuple(tuple(b) for b in basis)
+
+
+def _reduce(basis, d: int, u) -> tuple[int, ...]:
+    """Canonical representative of u + G: the lexicographically least element."""
+    u = list(u)
+    for i, b in enumerate(basis):
+        q = u[i] // b[i]
+        if q:
+            u = [(a - q * x) % d for a, x in zip(u, b)]
+    return tuple(u)
+
+
+def _member(basis, d: int, u) -> bool:
+    return not any(_reduce(basis, d, u))
+
+
+def _generator_rows(G: DiagonalGroup) -> tuple[tuple[int, ...], ...]:
+    """Basis rows with pivot below d (a row with pivot d is redundant mod d)."""
+    return tuple(b for i, b in enumerate(G.basis) if b[i] < G.d)
+
+
+def _from_basis(f: InvertiblePolynomial, basis) -> DiagonalGroup:
     d = abs(det(f))
-    scaled = [_scale(g, d) for g in gens]
-    elements = tuple(_unscale(t, d) for t in _closure_ints(scaled, d, f.n))
-    return DiagonalGroup(
-        context=f, generators=tuple(gens), elements=elements, order=len(elements))
+    index = 1
+    for i, b in enumerate(basis):
+        index *= b[i]
+    return DiagonalGroup(context=f, basis=basis, d=d, order=d ** f.n // index)
+
+
+def _group(f: InvertiblePolynomial, rows) -> DiagonalGroup:
+    return _from_basis(f, _hnf(rows, abs(det(f)), f.n))
+
+
+def _fixes_monomials(f: InvertiblePolynomial, u, d: int) -> bool:
+    """E . (u / d) in Z^n: the integer form of :func:`is_symmetry`."""
+    return all(sum(e * a for e, a in zip(row, u)) % d == 0 for row in f.E)
+
+
+def _scaled_inverse(f: InvertiblePolynomial) -> list[list[int]]:
+    """d E^{-1} as an integer matrix."""
+    d = abs(det(f))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in inverse_rows(f)]
+
+
+def _g0_row(f: InvertiblePolynomial) -> tuple[int, ...]:
+    ws = canonical_weights(f)
+    return tuple(w % ws.d for w in ws.w)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +276,15 @@ def gfin(f: InvertiblePolynomial) -> DiagonalGroup:
 
     (The rows of E^{-1} generate the symmetry group of the transpose.)
     """
-    gens = [phase_vector(col) for col in zip(*inverse_rows(f))]
-    for g in gens:
-        if not is_symmetry(f, g):
-            raise NotInvertible(f"generator {g} is not a symmetry; bad matrix?")
-    G = _make_group(f, gens)
-    if G.order != abs(det(f)):
-        raise NotInvertible(
-            f"symmetry group order {G.order} != |det E| = {abs(det(f))}")
+    d = abs(det(f))
+    gens = [tuple(a % d for a in col) for col in zip(*_scaled_inverse(f))]
+    for u in gens:
+        if not _fixes_monomials(f, u, d):
+            raise NotInvertible(
+                f"generator {_unscale(u, d)} is not a symmetry; bad matrix?")
+    G = _group(f, gens)
+    if G.order != d:
+        raise NotInvertible(f"symmetry group order {G.order} != |det E| = {d}")
     return G
 
 
@@ -194,7 +295,7 @@ def g0(f: InvertiblePolynomial) -> PhaseVector:
 
 
 def trivial_group(f: InvertiblePolynomial) -> DiagonalGroup:
-    return _make_group(f, [])
+    return _group(f, [])
 
 
 def group_from_generators(context: InvertiblePolynomial, gens) -> DiagonalGroup:
@@ -203,13 +304,14 @@ def group_from_generators(context: InvertiblePolynomial, gens) -> DiagonalGroup:
     for g in gens:
         if not is_symmetry(context, g):
             raise NotASymmetry(f"{g} does not leave every monomial invariant")
-    return _make_group(context, gens)
+    d = abs(det(context))
+    return _group(context, [_scale(g, d) for g in gens])
 
 
 @lru_cache(maxsize=None)
 def g0_group(f: InvertiblePolynomial) -> DiagonalGroup:
     """The cyclic group generated by the exponential grading operator."""
-    return _make_group(f, [g0(f)])
+    return _group(f, [_g0_row(f)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +320,31 @@ def g0_group(f: InvertiblePolynomial) -> DiagonalGroup:
 @lru_cache(maxsize=None)
 def dual_group(f: InvertiblePolynomial, G: DiagonalGroup) -> DiagonalGroup:
     """Krawitz dual: the subgroup of the transpose's symmetries pairing
-    integrally with every generator of G.
+    integrally with every element of G.
 
-    For u in the transpose's symmetry group and a generator v of G the
-    pairing is sum_i phases(u)_i * s_i with the integer vector s = E . v.
+    The transpose's symmetries are the phase vectors E^{-T} a, a in Z^n, and
+    E^{-T} a pairs with v/d in G as (E^{-T} a) . E (v/d) = a . v / d.  So the
+    dual is the image of the annihilator {a : B a in d Z^n} = d B^{-1} Z^n of
+    the basis B of G, mapped to (Z/d)^n by a -> (d E^{-1})^T a.
     """
     if G.context != f:
         raise NotASubgroup("group context does not match the polynomial")
-    for g in G.generators:
-        if not is_symmetry(f, g):
-            raise NotASubgroup(f"{g} is not a diagonal symmetry of the polynomial")
-    ft = transpose(f)
-    d = abs(det(f))
-    svecs = []
-    for v in G.generators:
-        svecs.append(tuple(
-            int(sum(e * p for e, p in zip(row, v.phases))) for row in f.E))
-    kept = []
-    for u in gfin(ft).elements:
-        nums = _scale(u, d)
-        if all(sum(a * s for a, s in zip(nums, sv)) % d == 0 for sv in svecs):
-            kept.append(u)
-    return DiagonalGroup(
-        context=ft, generators=tuple(kept), elements=tuple(kept), order=len(kept))
+    d, n, B = G.d, f.n, G.basis
+    for b in _generator_rows(G):
+        if not _fixes_monomials(f, b, d):
+            raise NotASubgroup(
+                f"{_unscale(b, d)} is not a diagonal symmetry of the polynomial")
+    # M = d B^{-1}, integral because the rows of B span d Z^n; B upper triangular
+    M = [[0] * n for _ in range(n)]
+    for j in range(n):
+        M[j][j] = d // B[j][j]
+        for i in range(j - 1, -1, -1):
+            s = sum(B[i][k] * M[k][j] for k in range(i + 1, j + 1))
+            M[i][j] = -(s // B[i][i])
+    dinv = _scaled_inverse(f)
+    gens = [tuple(sum(dinv[k][i] * M[k][j] for k in range(n)) % d for i in range(n))
+            for j in range(n)]
+    return _group(transpose(f), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +358,24 @@ def age_and_fix(g: PhaseVector) -> AgeReport:
 
 def junior_count(G: DiagonalGroup) -> int:
     """Number of elements of age exactly 1 fixing only the origin."""
-    count = 0
-    for g in G.elements:
-        if all(p != 0 for p in g.phases) and sum(g.phases) == 1:
-            count += 1
-    return count
+    d = G.d
+    return sum(1 for u in G.rows if all(u) and sum(u) == d)
 
 
 def subgroup_fixing_coordinate(G: DiagonalGroup, i: int) -> DiagonalGroup:
-    """Maximal subgroup of G whose elements have phase 0 at coordinate i."""
-    kept = tuple(g for g in G.elements if g.phases[i] == 0)
-    return DiagonalGroup(
-        context=G.context, generators=kept, elements=kept, order=len(kept))
+    """Maximal subgroup of G whose elements have phase 0 at coordinate i.
+
+    With coordinate i moved to the front, the Hermite basis rows after the
+    first span exactly the elements vanishing there.  Moved back, and with
+    the row d e_i put in at position i, they are the Hermite basis of the
+    stabiliser.
+    """
+    n, d = len(G.basis), G.d
+    perm = [i] + [j for j in range(n) if j != i]
+    H = _hnf([[b[p] for p in perm] for b in G.basis], d, n)
+    rows = [tuple(h[perm.index(j)] for j in range(n)) for h in H[1:]]
+    rows.insert(i, tuple(d if j == i else 0 for j in range(n)))
+    return _from_basis(G.context, tuple(rows))
 
 
 def in_sl(g: PhaseVector) -> bool:
@@ -274,81 +384,55 @@ def in_sl(g: PhaseVector) -> bool:
 
 
 def is_sl_subgroup(G: DiagonalGroup) -> bool:
-    return all(in_sl(g) for g in G.generators)
+    return all(sum(b) % G.d == 0 for b in G.basis)
 
 
 def contains_g0(G: DiagonalGroup) -> bool:
-    return g0(G.context) in _element_set(G)
+    return _member(G.basis, G.d, _g0_row(G.context))
 
 
 # ---------------------------------------------------------------------------
 # subgroup enumeration for the verification harness
 
+def _coset_reps(H: DiagonalGroup, K: DiagonalGroup) -> list[tuple[int, ...]]:
+    """Sorted canonical representatives of H/K, for K <= H.
+
+    The sums sum_i c_i h_i of H's basis rows with 0 <= c_i < k_ii / h_ii
+    meet every coset once (compare leading coordinates).
+    """
+    d = H.d
+    reps = [(0,) * len(H.basis)]
+    for i, b in enumerate(H.basis):
+        reps = [tuple((a + c * x) % d for a, x in zip(u, b))
+                for u in reps for c in range(K.basis[i][i] // b[i])]
+    return sorted(_reduce(K.basis, d, u) for u in reps)
+
+
 @lru_cache(maxsize=None)
 def subgroups_containing_g0(f: InvertiblePolynomial) -> tuple[DiagonalGroup, ...]:
-    """All subgroups G with G_0 <= G <= G^fin, in deterministic order.
+    """All subgroups G with G_0 <= G <= G^fin, in deterministic order: by
+    order, then by the sorted canonical coset representatives of G/G_0.
 
-    Works in the finite abelian quotient G^fin/G_0 (order cf, small at desk
-    scale): walks its subgroup lattice upward by adjoining cosets and closing,
-    deduplicating by element set, then pulls each subgroup back.
+    Walks the subgroup lattice of the quotient G^fin/G_0 (order cf) upward,
+    adjoining one coset representative at a time and deduplicating by
+    canonical basis.
     """
-    d = abs(det(f))
-    n = f.n
-    g0set = frozenset(_closure_ints([_scale(g0(f), d)], d, n))
-    rep_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def rep(x):
-        if x not in rep_cache:
-            r = min(tuple((a + b) % d for a, b in zip(x, s)) for s in g0set)
-            for s in g0set:
-                rep_cache[tuple((a + b) % d for a, b in zip(x, s))] = r
-        return rep_cache[x]
-
-    reps = sorted({rep(_scale(g, d)) for g in gfin(f).elements})
-    zero_rep = rep((0,) * n)
-
-    def q_add(a, b):
-        return rep(tuple((x + y) % d for x, y in zip(a, b)))
-
-    def q_closure(gens):
-        elements = {zero_rep}
-        frontier = [zero_rep]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = q_add(x, g)
-                    if y not in elements:
-                        elements.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(elements)
-
-    base = frozenset({zero_rep})
-    found: dict[frozenset, list] = {base: []}
-    frontier = [base]
+    G0 = g0_group(f)
+    reps = _coset_reps(gfin(f), G0)
+    found = {G0.basis: G0}
+    frontier = [G0]
     while frontier:
         new = []
-        for S in frontier:
+        for H in frontier:
             for x in reps:
-                if x in S:
+                if _member(H.basis, H.d, x):
                     continue
-                T = q_closure(found[S] + [x])
-                if T not in found:
-                    found[T] = found[S] + [x]
+                T = _group(f, H.basis + (x,))
+                if T.basis not in found:
+                    found[T.basis] = T
                     new.append(T)
         frontier = new
-    groups = []
-    for S in sorted(found, key=lambda s: (len(s), sorted(s))):
-        elements = sorted(
-            tuple((a + b) % d for a, b in zip(r, s))
-            for r in S for s in g0set)
-        gens = [g0(f)] + [_unscale(t, d) for t in found[S]]
-        groups.append(DiagonalGroup(
-            context=f, generators=tuple(gens),
-            elements=tuple(_unscale(t, d) for t in elements),
-            order=len(elements)))
-    return tuple(groups)
+    return tuple(sorted(found.values(), key=lambda H: (H.order, _coset_reps(H, G0))))
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +482,58 @@ def format_group(G: DiagonalGroup) -> str:
     if G.order == 1:
         return "trivial"
     parts = []
-    for g in _minimal_generators(G):
-        r = 1
-        for p in g.phases:
-            r = r * p.denominator // gcd(r, p.denominator)
-        nums = ",".join(str(int(p * r)) for p in g.phases)
-        parts.append(f"1/{r}({nums})")
+    for u in _minimal_generators(G):
+        r = _order(u, G.d)
+        parts.append(f"1/{r}(" + ",".join(str(a * r // G.d) for a in u) + ")")
     return ";".join(parts)
 
 
-def _minimal_generators(G: DiagonalGroup) -> list[PhaseVector]:
-    """Greedy small generating set, for readable output only."""
-    d = abs(det(G.context))
-    target = {_scale(g, d) for g in G.elements}
-    gens: list[tuple[int, ...]] = []
-    have = {(0,) * G.context.n}
-    for g, t in sorted(((g, _scale(g, d)) for g in G.elements),
-                       key=lambda pair: (-pair[0].order(), pair[1])):
-        if t not in have:
-            gens.append(t)
-            have = set(_closure_ints(gens, d, G.context.n))
-            if have == target:
-                break
-    return [_unscale(t, d) for t in gens]
+def _minimal_generators(G: DiagonalGroup) -> list[tuple[int, ...]]:
+    """Greedy small generating set, for readable output only.
+
+    Going through the elements sorted by (-order, integer vector), take each
+    one not generated by those already taken, until they generate G.  The
+    elements of maximal order e generate a finite abelian group, so every
+    element taken has order e, and each comes lexicographically after the
+    one before.  A single lexicographic scan finds them: it walks the cosets
+    y + G_i (G_i: the elements of G vanishing before coordinate i) and skips
+    those whose orders cannot reach e or that lie inside the span so far.
+    """
+    d, basis = G.d, G.basis
+    n = len(basis)
+    tail_exp = [1] * (n + 1)  # tail_exp[i] = exponent of G_i
+    for i in range(n - 1, -1, -1):
+        o = _order(basis[i], d)
+        tail_exp[i] = tail_exp[i + 1] * o // gcd(tail_exp[i + 1], o)
+    e = tail_exp[0]
+    span = _hnf([], d, n)
+    tail_inside = [False] * n + [True]  # G_i inside the span
+
+    def scan(i, y):
+        oy = _order(y, d)
+        if oy * tail_exp[i] // gcd(oy, tail_exp[i]) != e:
+            return
+        if tail_inside[i] and _member(span, d, y):
+            return
+        if i == n:
+            yield y
+            return
+        b = basis[i]
+        k = (y[i] % b[i] - y[i]) // b[i]
+        z = tuple((a + k * x) % d for a, x in zip(y, b))
+        for _ in range(d // b[i]):
+            yield from scan(i + 1, z)
+            z = tuple((a + x) % d for a, x in zip(z, b))
+
+    taken = []
+    for y in scan(0, (0,) * n):
+        taken.append(y)
+        span = _hnf(taken, d, n)
+        index = 1
+        for i, b in enumerate(span):
+            index *= b[i]
+        if d ** n // index == G.order:
+            break
+        tail_inside = [all(_member(span, d, b) for b in basis[i:])
+                       for i in range(n)] + [True]
+    return taken
