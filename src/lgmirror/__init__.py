@@ -34,7 +34,6 @@ from .symmetry import (  # noqa: F401
     g0_group,
     gfin,
     group_from_generators,
-    in_sl,
     is_sl_subgroup,
     junior_count,
     parse_group_spec,
@@ -51,15 +50,11 @@ from .curve_side import (  # noqa: F401
     dolgachev,
     dolgachev_gfin,
     genus,
-    genus_bp_oracle,
     orbit_invariants,
-    stringy_euler,
 )
 from .cusp_side import (  # noqa: F401
     CuspPolynomial,
     GabrielovData,
-    cusp_char_poly,
-    cusp_milnor,
     delta,
     gabrielov,
     gabrielov_prime,
@@ -70,11 +65,7 @@ from .spectra import (  # noqa: F401
     LefschetzTable,
     PoincareVerdict,
     char_poly_qh,
-    cyclo_degree,
-    cyclo_div,
-    cyclo_eq,
     cyclo_expand,
-    cyclo_mul,
     equivariant_char_poly,
     lefschetz_numbers,
     poincare_series,

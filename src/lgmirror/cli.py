@@ -13,7 +13,7 @@ import sys
 
 from .errors import LGMirrorError
 from .curve_side import curve_invariants, dolgachev
-from .cusp_side import cusp_char_poly, gabrielov, gabrielov_prime
+from .cusp_side import gabrielov, gabrielov_prime
 from .harness import (
     analyze,
     builtin_catalog,
@@ -92,7 +92,7 @@ def _cmd_gabrielov(args):
     G = parse_group_spec(f, args.group)
     cp = gabrielov_prime(f)
     data = gabrielov(f, G)
-    vec = cusp_char_poly(cp.gamma_prime, G)
+    vec = data.char_poly
     text = (f"gamma': {list(cp.gamma_prime)}  delta: {cp.delta}\n"
             f"gabrielov: {list(data.multiset)}\n"
             f"junior: {data.j}\nmilnor: {data.milnor}\ncharpoly: {vec}")
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="format", help="shorthand for --format json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, group_default=None):
+    def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         return p

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NonIntegralDolgachev, NotBrieskornPham, NotContainingG0, NotReduced
+from .errors import NonIntegral, NotContainingG0, NotReduced
 from .ip_core import InvertiblePolynomial, WeightSystem, classify3
 from .symmetry import (
     DiagonalGroup,
@@ -32,8 +32,6 @@ __all__ = [
     "orbit_invariants",
     "count_m",
     "genus",
-    "genus_bp_oracle",
-    "stringy_euler",
     "curve_invariants",
 ]
 
@@ -101,7 +99,7 @@ def dolgachev(f: InvertiblePolynomial, G: DiagonalGroup) -> DolgachevData:
         K = subgroup_fixing_coordinate(GT, i)
         index = GT.order // K.order
         if alpha[i] % index != 0:
-            raise NonIntegralDolgachev(
+            raise NonIntegral(
                 f"alpha'_{i} = {alpha[i]} not divisible by {index}")
         value = alpha[i] // index
         per.append(CoordinateIsotropy(
@@ -146,49 +144,6 @@ def genus(f: InvertiblePolynomial, G: DiagonalGroup) -> int:
     if not contains_g0(G):
         raise NotContainingG0("genus needs G containing g_0")
     return junior_count(dual_group(f, G))
-
-
-def genus_bp_oracle(f: InvertiblePolynomial, G: DiagonalGroup) -> int:
-    """Independent genus count for Fermat sums x^p1 + y^p2 + z^p3.
-
-    Counts exponent triples (r_1,r_2,r_3), 0 <= r_i <= p_i - 2, whose
-    monomial top form has weighted degree one and is G-invariant, i.e.
-    sum (r_i+1)/p_i = 1 and sum (r_i+1)*phase_i(g) in Z for every generator.
-    """
-    E = f.E
-    diag = [0, 0, 0]
-    for row in E:
-        support = [(j, e) for j, e in enumerate(row) if e != 0]
-        if len(support) != 1:
-            raise NotBrieskornPham("not a sum of pure powers")
-        j, e = support[0]
-        diag[j] = e
-    p1, p2, p3 = diag
-    if not contains_g0(G):
-        raise NotContainingG0("oracle needs G containing g_0")
-    count = 0
-    for r1 in range(p1 - 1):
-        for r2 in range(p2 - 1):
-            for r3 in range(p3 - 1):
-                # degree condition: sum (r_i+1)/p_i = 1, cleared of denominators
-                lhs = ((r1 + 1) * p2 * p3 + (r2 + 1) * p1 * p3 + (r3 + 1) * p1 * p2)
-                if lhs != p1 * p2 * p3:
-                    continue
-                invariant = True
-                for g in G.generators:
-                    chi = ((r1 + 1) * g.phases[0] + (r2 + 1) * g.phases[1]
-                           + (r3 + 1) * g.phases[2])
-                    if chi.denominator != 1:
-                        invariant = False
-                        break
-                if invariant:
-                    count += 1
-    return count
-
-
-def stringy_euler(f: InvertiblePolynomial, G: DiagonalGroup) -> int:
-    """2 - 2*genus + sum over the Dolgachev multiset of (alpha - 1)."""
-    return curve_invariants(f, G).e_st
 
 
 def curve_invariants(f: InvertiblePolynomial, G: DiagonalGroup) -> CurveInvariants:

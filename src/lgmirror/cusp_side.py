@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonIntegralGamma, NotSL, NotSymmetryOfCusp
+from .errors import NonIntegral, NotSL, NotSymmetryOfCusp
 from .curve_side import dolgachev_gfin
 from .ip_core import InvertiblePolynomial, transpose
 from .spectra import CycloVector
@@ -31,8 +31,6 @@ __all__ = [
     "delta",
     "gabrielov",
     "gabrielov_from_gamma",
-    "cusp_char_poly",
-    "cusp_milnor",
 ]
 
 
@@ -55,6 +53,18 @@ class GabrielovData:
     j: int
     milnor: int
 
+    @property
+    def char_poly(self) -> CycloVector:
+        """(t-1)^{2-2j} prod_{gamma} (t^gamma - 1)/(t-1) as a cyclotomic vector,
+        of degree ``milnor``.
+
+        May carry negative exponents (a formal rational function) when the
+        multiset is empty and j > 0.
+        """
+        entries = [(1, 2 - 2 * self.j - len(self.multiset))]
+        entries += [(g, 1) for g in self.multiset]
+        return CycloVector.from_entries(entries)
+
 
 def delta(gamma_prime) -> int:
     """g1 g2 g3 - g2 g3 - g1 g3 - g1 g2; negative for the spherical cases."""
@@ -72,11 +82,12 @@ def gabrielov_prime(f: InvertiblePolynomial) -> CuspPolynomial:
 def _check_action(gamma_prime, G: DiagonalGroup):
     if not is_sl_subgroup(G):
         raise NotSL("cusp invariants need G inside SL_3")
-    for g in G.generators:
-        for gi, p in zip(gamma_prime, g.phases):
-            if (gi * p).denominator != 1:
-                raise NotSymmetryOfCusp(
-                    f"{g} does not fix the monomial with exponent {gi}")
+    pure_powers = [tuple(gi if j == i else 0 for j in range(3))
+                   for i, gi in enumerate(gamma_prime)]
+    bad = G.unfixed_monomial(pure_powers)
+    if bad:
+        g, row = bad
+        raise NotSymmetryOfCusp(f"{g} does not fix the monomial with exponent {sum(row)}")
 
 
 def gabrielov_from_gamma(gamma_prime, G: DiagonalGroup) -> GabrielovData:
@@ -88,7 +99,7 @@ def gabrielov_from_gamma(gamma_prime, G: DiagonalGroup) -> GabrielovData:
         H = subgroup_fixing_coordinate(G, i)
         index = G.order // H.order
         if gamma_prime[i] % index != 0:
-            raise NonIntegralGamma(
+            raise NonIntegral(
                 f"gamma'_{i} = {gamma_prime[i]} not divisible by {index}")
         gt = gamma_prime[i] // index
         per.append(CuspIsotropy(gamma_tilde=gt, h_order=H.order))
@@ -106,19 +117,3 @@ def gabrielov(f: InvertiblePolynomial, G: DiagonalGroup) -> GabrielovData:
     the cusp monomials."""
     return gabrielov_from_gamma(gabrielov_prime(f).gamma_prime, G)
 
-
-def cusp_char_poly(gamma_prime, G: DiagonalGroup) -> CycloVector:
-    """(t-1)^{2-2j} prod_{gamma} (t^gamma - 1)/(t-1) as a cyclotomic vector.
-
-    May carry negative exponents (a formal rational function) when the
-    multiset is empty and j > 0.
-    """
-    data = gabrielov_from_gamma(gamma_prime, G)
-    entries = [(1, 2 - 2 * data.j - len(data.multiset))]
-    entries += [(g, 1) for g in data.multiset]
-    return CycloVector.from_entries(entries)
-
-
-def cusp_milnor(gamma_prime, G: DiagonalGroup) -> int:
-    """2 - 2 j + sum (gamma - 1); equals the degree of cusp_char_poly."""
-    return gabrielov_from_gamma(gamma_prime, G).milnor

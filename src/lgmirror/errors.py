@@ -34,8 +34,10 @@ class NotContainingG0(LGMirrorError):
     """The group does not contain the exponential grading operator."""
 
 
-class NonIntegralDolgachev(LGMirrorError):
-    """An isotropy order came out non-integral; signals inconsistent input."""
+class NonIntegral(LGMirrorError):
+    """A quantity that is an integer by theory came out otherwise: an isotropy
+    order of the curve or the cusp, a monodromy trace, or an exponent of a
+    Moebius inversion.  Signals inconsistent input or an internal failure."""
 
 
 class NotReduced(LGMirrorError):
@@ -54,21 +56,9 @@ class NotSymmetryOfCusp(LGMirrorError):
     """Group does not fix every pure-power monomial of the cusp polynomial."""
 
 
-class NonIntegralGamma(LGMirrorError):
-    """A quotient isotropy order of the cusp came out non-integral."""
-
-
 class NotGraded(LGMirrorError):
     """The rescaled weights are not integral for this group index."""
 
 
 class NotPolynomial(LGMirrorError):
     """A cyclotomic product is not a genuine polynomial (division inexact)."""
-
-
-class NonIntegralTrace(LGMirrorError):
-    """A monodromy trace came out non-integral (internal consistency failure)."""
-
-
-class MoebiusInconsistent(LGMirrorError):
-    """Moebius inversion of trace data produced non-integral exponents."""

@@ -30,7 +30,7 @@ __all__ = [
     "parse_polynomial",
     "format_polynomial",
     "det",
-    "inverse_rows",
+    "scaled_inverse",
     "transpose",
     "decompose_atoms",
     "classify3",
@@ -272,13 +272,13 @@ def det(f: InvertiblePolynomial) -> int:
 
 
 @lru_cache(maxsize=None)
-def inverse_rows(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of E^{-1} as exact fractions."""
-    d = det(f)
-    if d == 0:
+def scaled_inverse(f: InvertiblePolynomial) -> tuple[tuple[int, ...], ...]:
+    """d E^{-1} with d = |det E|: the adjugate, signed by det E."""
+    dd = det(f)
+    if dd == 0:
         raise NotInvertible("det(E) = 0")
-    adj = _adjugate_int(f.E)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
+    sign = 1 if dd > 0 else -1
+    return tuple(tuple(sign * x for x in row) for row in _adjugate_int(f.E))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +462,11 @@ def classify3(f: InvertiblePolynomial) -> TypeTag3:
 def canonical_weights(f: InvertiblePolynomial) -> WeightSystem:
     """Unique exact solution of E.w = d.(1..1) with d = |det(E)|.
 
-    The weights are signed row sums of the adjugate, hence exact integers;
-    d is taken as |det E| so that the system is independent of monomial order.
+    The weights are the row sums of d E^{-1}, hence exact integers; d is
+    taken as |det E| so that the system is independent of monomial order.
     """
-    dd = det(f)
-    if dd == 0:
-        raise NotInvertible("det(E) = 0")
-    d = abs(dd)
-    sign = 1 if dd > 0 else -1
-    adj = _adjugate_int(f.E)
-    w = tuple(sign * sum(adj[i]) for i in range(f.n))
+    w = tuple(sum(row) for row in scaled_inverse(f))
+    d = abs(det(f))
     for row in f.E:
         if sum(e * wj for e, wj in zip(row, w)) != d:
             raise NotInvertible("weight equation E.w = d.(1..1) failed")

@@ -14,35 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    LGMirrorError,
-    MoebiusInconsistent,
-    NonIntegralTrace,
-    NotASubgroup,
-    NotGraded,
-    NotPolynomial,
-    NotSL,
-)
+from .errors import LGMirrorError, NonIntegral, NotASubgroup, NotGraded, NotPolynomial, NotSL
 from .ip_core import InvertiblePolynomial, canonical_weights, cf, classify3, reduced_weights, transpose
 from .curve_side import dolgachev, genus
-from .symmetry import (
-    DiagonalGroup,
-    dual_group,
-    g0_group,
-    gfin,
-    is_sl_subgroup,
-    is_symmetry,
-)
+from .symmetry import DiagonalGroup, dual_group, g0_group, gfin, is_sl_subgroup
 
 __all__ = [
     "CycloVector",
     "ExponentList",
     "LefschetzTable",
     "PoincareVerdict",
-    "cyclo_mul",
-    "cyclo_div",
-    "cyclo_eq",
-    "cyclo_degree",
     "cyclo_expand",
     "poincare_series",
     "psi",
@@ -158,22 +139,6 @@ class CycloVector:
                for m, e in self.items if e < 0]
         text = "".join(num) or "1"
         return text + (" / " + "".join(den) if den else "")
-
-
-def cyclo_mul(a: CycloVector, b: CycloVector) -> CycloVector:
-    return a * b
-
-
-def cyclo_div(a: CycloVector, b: CycloVector) -> CycloVector:
-    return a / b
-
-
-def cyclo_eq(a: CycloVector, b: CycloVector) -> bool:
-    return a.items == b.items
-
-
-def cyclo_degree(v: CycloVector) -> int:
-    return v.degree
 
 
 def _poly_mul_one_minus_tm(coeffs: list[int], m: int) -> list[int]:
@@ -320,9 +285,9 @@ def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> LefschetzTab
     """
     if G.context != f:
         raise NotASubgroup("group context does not match the polynomial")
-    for g in G.generators:
-        if not is_symmetry(f, g):
-            raise NotASubgroup(f"{g} is not a symmetry of the polynomial")
+    bad = G.unfixed_monomial(f.E)
+    if bad:
+        raise NotASubgroup(f"{bad[0]} is not a symmetry of the polynomial")
     if not is_sl_subgroup(G):
         raise NotSL("trace formula needs G inside SL_n")
     ws = reduced_weights(f)
@@ -351,7 +316,7 @@ def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> LefschetzTab
             total += sign * inner
         total /= order
         if total.denominator != 1:
-            raise NonIntegralTrace(f"L_{k} = {total} is not an integer")
+            raise NonIntegral(f"L_{k} = {total} is not an integer")
         values.append(int(total))
     return LefschetzTable(values=tuple(values), modulus=dt)
 
@@ -364,13 +329,13 @@ def _invert_traces(table: LefschetzTable) -> CycloVector:
         s = sum(_moebius(m // k) * table[k] for k in _divisors(m))
         q, r = divmod(s, m)
         if r:
-            raise MoebiusInconsistent(f"m*e(m) = {s} not divisible by m = {m}")
+            raise NonIntegral(f"m*e(m) = {s} not divisible by m = {m}")
         if q:
             e[m] = q
     for k in range(1, dt + 1):
         recon = sum(m * em for m, em in e.items() if k % m == 0)
         if recon != table[k]:
-            raise MoebiusInconsistent(
+            raise NonIntegral(
                 f"trace reconstruction failed at k={k}: {recon} != {table[k]}")
     return CycloVector.from_entries(e)
 
@@ -414,7 +379,7 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[ExponentList, CycloVector]:
         g = gcd(r, dt)
         if g in class_count:
             if class_count[g] != residue_counts[r]:
-                raise NonIntegralTrace(
+                raise NonIntegral(
                     "eigenvalue multiplicities are not Galois-stable")
         else:
             class_count[g] = residue_counts[r]
@@ -425,7 +390,7 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[ExponentList, CycloVector]:
     table = LefschetzTable(values=tuple(traces), modulus=dt)
     vec = _invert_traces(table)
     if vec.degree != len(exponents):
-        raise MoebiusInconsistent(
+        raise NonIntegral(
             f"degree {vec.degree} != exponent count {len(exponents)}")
     return ExponentList(exponents=tuple(sorted(exponents))), vec
 
@@ -485,5 +450,5 @@ def verify_poincare_theorem(f: InvertiblePolynomial) -> PoincareVerdict:
             status="not_applicable", reason=f"genus = {g} != 0", psi=None, phi=None)
     left = psi(f, G0)
     right = equivariant_char_poly(ft, dual_group(f, G0))
-    status = "equal" if cyclo_eq(left, right) else "not_equal"
+    status = "equal" if left == right else "not_equal"
     return PoincareVerdict(status=status, reason=None, psi=left, phi=right)

@@ -12,9 +12,16 @@ Membership is reduction by the triangular basis, the Krawitz dual is an
 annihilator computed by integer linear algebra on n x n matrices, and the
 subgroup lattice between G_0 and G^fin is walked on bases.  Elements are
 enumerated only where an invariant needs them (junior counts, traces), and
-the formatter scans them lazily.  Phase vectors (exact ``Fraction`` phases)
-appear only at the boundary: parsing, formatting and the ``elements`` /
-``generators`` views.
+the formatter scans them lazily.
+
+Every check is made on integer vectors.  One test, E u = 0 mod d, decides
+whether u / d is a symmetry; it serves group literals, G^fin, and (through
+:meth:`DiagonalGroup.unfixed_monomial`) the Krawitz dual, the trace formula
+and the cusp action.  Membership in SL is a row sum mod d.  Phase vectors
+(exact ``Fraction`` phases) appear only at the boundary: the generators a
+group literal is read from, the grading operator :func:`g0`,
+:func:`age_and_fix`, error messages and the ``elements`` / ``generators``
+views, which only tests read.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import NotASubgroup, NotASymmetry, NotInvertible
-from .ip_core import InvertiblePolynomial, canonical_weights, det, inverse_rows, transpose
+from .ip_core import InvertiblePolynomial, canonical_weights, det, scaled_inverse, transpose
 
 __all__ = [
     "PhaseVector",
@@ -36,14 +43,12 @@ __all__ = [
     "gfin",
     "g0",
     "g0_group",
-    "is_symmetry",
     "trivial_group",
     "group_from_generators",
     "dual_group",
     "age_and_fix",
     "junior_count",
     "subgroup_fixing_coordinate",
-    "in_sl",
     "is_sl_subgroup",
     "contains_g0",
     "subgroups_containing_g0",
@@ -60,9 +65,6 @@ class PhaseVector:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.phases))
-
-    def __add__(self, other: "PhaseVector") -> "PhaseVector":
-        return PhaseVector(tuple((a + b) % 1 for a, b in zip(self.phases, other.phases)))
 
     def __neg__(self) -> "PhaseVector":
         return PhaseVector(tuple((-a) % 1 for a in self.phases))
@@ -106,11 +108,6 @@ class DiagonalGroup:
     d: int = field(compare=False, repr=False)
     order: int = field(compare=False)
 
-    def __contains__(self, g: PhaseVector) -> bool:
-        if any(self.d % p.denominator for p in g.phases):
-            return False
-        return _member(self.basis, self.d, _scale(g, self.d))
-
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Every element as an integer vector mod d, in lexicographic order."""
@@ -131,6 +128,15 @@ class DiagonalGroup:
         """The basis rows that are non-zero mod d, as phase vectors."""
         return tuple(_unscale(b, self.d) for b in _generator_rows(self))
 
+    def unfixed_monomial(self, E) -> tuple[PhaseVector, tuple[int, ...]] | None:
+        """The first generator and the first exponent row of E whose monomial
+        it does not fix, or None when every generator fixes every monomial."""
+        for b in _generator_rows(self):
+            for row in E:
+                if not _fixes_monomials((row,), b, self.d):
+                    return _unscale(b, self.d), row
+        return None
+
     def __str__(self):
         return format_group(self)
 
@@ -145,14 +151,11 @@ class AgeReport:
 # ---------------------------------------------------------------------------
 # integer vectors mod d and their lattices
 
-def _scale(g: PhaseVector, d: int) -> tuple[int, ...]:
-    out = []
-    for p in g.phases:
-        q, r = divmod(d, p.denominator)
-        if r:
-            raise NotASymmetry(f"phase {p} has denominator not dividing {d}")
-        out.append(p.numerator * q)
-    return tuple(out)
+def _scale(g: PhaseVector, d: int) -> tuple[int, ...] | None:
+    """d g as an integer vector, or None when the order of g does not divide d."""
+    if any(d % p.denominator for p in g.phases):
+        return None
+    return tuple(p.numerator * (d // p.denominator) for p in g.phases)
 
 
 def _unscale(u: tuple[int, ...], d: int) -> PhaseVector:
@@ -244,15 +247,9 @@ def _group(f: InvertiblePolynomial, rows) -> DiagonalGroup:
     return _from_basis(f, _hnf(rows, abs(det(f)), f.n))
 
 
-def _fixes_monomials(f: InvertiblePolynomial, u, d: int) -> bool:
-    """E . (u / d) in Z^n: the integer form of :func:`is_symmetry`."""
-    return all(sum(e * a for e, a in zip(row, u)) % d == 0 for row in f.E)
-
-
-def _scaled_inverse(f: InvertiblePolynomial) -> list[list[int]]:
-    """d E^{-1} as an integer matrix."""
-    d = abs(det(f))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in inverse_rows(f)]
+def _fixes_monomials(E, u, d: int) -> bool:
+    """E . (u / d) in Z^n: u / d fixes every monomial with exponent row in E."""
+    return all(sum(e * a for e, a in zip(row, u)) % d == 0 for row in E)
 
 
 def _g0_row(f: InvertiblePolynomial) -> tuple[int, ...]:
@@ -263,13 +260,6 @@ def _g0_row(f: InvertiblePolynomial) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # construction of the standard groups
 
-def is_symmetry(f: InvertiblePolynomial, g: PhaseVector) -> bool:
-    """Membership in the maximal diagonal symmetry group: E . phases in Z^n."""
-    return all(
-        sum(e * p for e, p in zip(row, g.phases)).denominator == 1
-        for row in f.E)
-
-
 @lru_cache(maxsize=None)
 def gfin(f: InvertiblePolynomial) -> DiagonalGroup:
     """Maximal group of diagonal symmetries, generated by the columns of E^{-1}.
@@ -277,9 +267,9 @@ def gfin(f: InvertiblePolynomial) -> DiagonalGroup:
     (The rows of E^{-1} generate the symmetry group of the transpose.)
     """
     d = abs(det(f))
-    gens = [tuple(a % d for a in col) for col in zip(*_scaled_inverse(f))]
+    gens = [tuple(a % d for a in col) for col in zip(*scaled_inverse(f))]
     for u in gens:
-        if not _fixes_monomials(f, u, d):
+        if not _fixes_monomials(f.E, u, d):
             raise NotInvertible(
                 f"generator {_unscale(u, d)} is not a symmetry; bad matrix?")
     G = _group(f, gens)
@@ -301,11 +291,12 @@ def trivial_group(f: InvertiblePolynomial) -> DiagonalGroup:
 def group_from_generators(context: InvertiblePolynomial, gens) -> DiagonalGroup:
     """Closure of the given phase vectors inside the symmetry group of ``context``."""
     gens = [g if isinstance(g, PhaseVector) else phase_vector(g) for g in gens]
-    for g in gens:
-        if not is_symmetry(context, g):
-            raise NotASymmetry(f"{g} does not leave every monomial invariant")
     d = abs(det(context))
-    return _group(context, [_scale(g, d) for g in gens])
+    rows = [_scale(g, d) for g in gens]
+    for g, u in zip(gens, rows):
+        if u is None or not _fixes_monomials(context.E, u, d):
+            raise NotASymmetry(f"{g} does not leave every monomial invariant")
+    return _group(context, rows)
 
 
 @lru_cache(maxsize=None)
@@ -329,11 +320,10 @@ def dual_group(f: InvertiblePolynomial, G: DiagonalGroup) -> DiagonalGroup:
     """
     if G.context != f:
         raise NotASubgroup("group context does not match the polynomial")
+    bad = G.unfixed_monomial(f.E)
+    if bad:
+        raise NotASubgroup(f"{bad[0]} is not a diagonal symmetry of the polynomial")
     d, n, B = G.d, f.n, G.basis
-    for b in _generator_rows(G):
-        if not _fixes_monomials(f, b, d):
-            raise NotASubgroup(
-                f"{_unscale(b, d)} is not a diagonal symmetry of the polynomial")
     # M = d B^{-1}, integral because the rows of B span d Z^n; B upper triangular
     M = [[0] * n for _ in range(n)]
     for j in range(n):
@@ -341,7 +331,7 @@ def dual_group(f: InvertiblePolynomial, G: DiagonalGroup) -> DiagonalGroup:
         for i in range(j - 1, -1, -1):
             s = sum(B[i][k] * M[k][j] for k in range(i + 1, j + 1))
             M[i][j] = -(s // B[i][i])
-    dinv = _scaled_inverse(f)
+    dinv = scaled_inverse(f)
     gens = [tuple(sum(dinv[k][i] * M[k][j] for k in range(n)) % d for i in range(n))
             for j in range(n)]
     return _group(transpose(f), gens)
@@ -376,11 +366,6 @@ def subgroup_fixing_coordinate(G: DiagonalGroup, i: int) -> DiagonalGroup:
     rows = [tuple(h[perm.index(j)] for j in range(n)) for h in H[1:]]
     rows.insert(i, tuple(d if j == i else 0 for j in range(n)))
     return _from_basis(G.context, tuple(rows))
-
-
-def in_sl(g: PhaseVector) -> bool:
-    """Determinant 1: the phases sum to an integer."""
-    return sum(g.phases).denominator == 1
 
 
 def is_sl_subgroup(G: DiagonalGroup) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from lgmirror.ip_core import canonical_weights, det, inverse_rows, transpose
+from lgmirror.ip_core import canonical_weights, det, scaled_inverse, transpose
 
 
 class OracleGroup:
@@ -64,7 +64,7 @@ def scaled(phases, d: int) -> tuple[int, ...]:
 def gfin_group(f) -> OracleGroup:
     """Closure of the columns of E^{-1}."""
     d = abs(det(f))
-    return OracleGroup(d, f.n, [scaled(col, d) for col in zip(*inverse_rows(f))])
+    return OracleGroup(d, f.n, [tuple(a % d for a in col) for col in zip(*scaled_inverse(f))])
 
 
 def g0_row(f) -> tuple[int, ...]:

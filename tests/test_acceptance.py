@@ -23,9 +23,6 @@ from lgmirror import (
     cf,
     char_poly_qh,
     count_m,
-    cusp_char_poly,
-    cusp_milnor,
-    cyclo_eq,
     det,
     dolgachev,
     dual_group,
@@ -36,7 +33,6 @@ from lgmirror import (
     gabrielov,
     gabrielov_prime,
     genus,
-    genus_bp_oracle,
     gfin,
     junior_count,
     lefschetz_numbers,
@@ -51,6 +47,8 @@ from lgmirror import (
     trivial_group,
     verify_poincare_theorem,
 )
+from lgmirror.cusp_side import gabrielov_from_gamma
+from genus_oracle import genus_bp_oracle
 
 
 def report(n, label, failures, total):
@@ -258,7 +256,7 @@ def test_criterion_5b_psi_closed_form(corpus_fs):
     from lgmirror import classify3
     for f in corpus_fs:
         tags.add(classify3(f).tag)
-        if not cyclo_eq(psi_closed_form(f), psi(f, g0_group(f))):
+        if psi_closed_form(f) != psi(f, g0_group(f)):
             failures.append(format_polynomial(f))
     assert tags == {"I", "II", "III", "IV", "V"}
     assert not report("5b", "closed-form psi", failures, len(corpus_fs)), failures[:5]
@@ -315,7 +313,7 @@ def test_criterion_7_oracle_equivalences(corpus_fs):
     for f in corpus_fs:
         total += 1
         _, direct = char_poly_qh(f)
-        if not cyclo_eq(direct, equivariant_char_poly(f, trivial_group(f))):
+        if direct != equivariant_char_poly(f, trivial_group(f)):
             failures.append(f"charpoly {format_polynomial(f)}")
 
     for ps in itertools.combinations_with_replacement(range(2, 8), 3):
@@ -361,8 +359,8 @@ def test_criterion_8_structural_invariants(corpus_fs, corpus_pairs):
                    if not g.is_identity() and age_and_fix(g).nfix == 0)
         check(free == 2 * junior_count(GT), f"2j count {name}")
         gp = gabrielov_prime(transpose(f)).gamma_prime
-        check(cusp_char_poly(gp, GT).degree == cusp_milnor(gp, GT),
-              f"charpoly degree {name}")
+        cusp = gabrielov_from_gamma(gp, GT)
+        check(cusp.char_poly.degree == cusp.milnor, f"charpoly degree {name}")
 
     for f in corpus_fs:
         name = format_polynomial(f)

@@ -7,9 +7,6 @@ import pytest
 from lgmirror import (
     NotSL,
     NotSymmetryOfCusp,
-    cusp_char_poly,
-    cusp_milnor,
-    cyclo_degree,
     delta,
     dual_group,
     g0_group,
@@ -20,6 +17,7 @@ from lgmirror import (
     transpose,
     trivial_group,
 )
+from lgmirror.cusp_side import gabrielov_from_gamma
 
 
 def test_gamma_prime_values():
@@ -64,36 +62,37 @@ def test_gabrielov_e8tilde():
 
 def test_cusp_char_poly_trivial_group():
     f = parse_polynomial("x^2+y^3+z^4")
-    vec = cusp_char_poly((2, 3, 4), trivial_group(f))
+    vec = gabrielov_from_gamma((2, 3, 4), trivial_group(f)).char_poly
     assert vec.entries == {1: -1, 2: 1, 3: 1, 4: 1}
 
 
 def test_cusp_char_poly_negative_exponent():
     f5 = parse_polynomial("x^5+y^5+z^5")
     G = group_from_generators(f5, [(F(1, 5), F(3, 5), F(1, 5))])
-    vec = cusp_char_poly((5, 5, 5), G)
-    assert vec.entries == {1: -2}
-    assert cusp_milnor((5, 5, 5), G) == -2
+    data = gabrielov_from_gamma((5, 5, 5), G)
+    assert data.char_poly.entries == {1: -2}
+    assert data.milnor == -2
 
 
 def test_cusp_char_poly_z3():
     f6 = parse_polynomial("x^2+y^3+z^6")
     G = group_from_generators(f6, [(0, F(1, 3), F(2, 3))])
-    vec = cusp_char_poly((2, 3, 6), G)
-    assert vec.entries == {1: -2, 2: 4}
-    assert cusp_milnor((2, 3, 6), G) == 6
+    data = gabrielov_from_gamma((2, 3, 6), G)
+    assert data.char_poly.entries == {1: -2, 2: 4}
+    assert data.milnor == 6
 
 
 def test_cusp_milnor_trivial():
     f = parse_polynomial("x^3+y^4+z^5")
-    assert cusp_milnor((3, 4, 5), trivial_group(f)) == 3 + 4 + 5 - 1
+    assert gabrielov_from_gamma((3, 4, 5), trivial_group(f)).milnor == 3 + 4 + 5 - 1
 
 
 def test_degree_equals_milnor(corpus_fs):
     for f in corpus_fs[::17]:
         GT = dual_group(f, g0_group(f))
         gp = gabrielov_prime(transpose(f)).gamma_prime
-        assert cyclo_degree(cusp_char_poly(gp, GT)) == cusp_milnor(gp, GT)
+        data = gabrielov_from_gamma(gp, GT)
+        assert data.char_poly.degree == data.milnor
 
 
 def test_rejects_non_sl_group():
@@ -107,4 +106,4 @@ def test_rejects_group_moving_cusp_monomials():
     f5 = parse_polynomial("x^5+y^5+z^5")
     G = group_from_generators(f5, [(F(1, 5), F(3, 5), F(1, 5))])
     with pytest.raises(NotSymmetryOfCusp):
-        cusp_char_poly((3, 3, 3), G)  # 3 * 1/5 is not integral
+        gabrielov_from_gamma((3, 3, 3), G)  # 3 * 1/5 is not integral

@@ -18,13 +18,13 @@ from lgmirror import (
     dual_group,
     g0_group,
     genus,
-    genus_bp_oracle,
     gfin,
     orbit_invariants,
     parse_polynomial,
     reduced_weights,
     transpose,
 )
+from genus_oracle import genus_bp_oracle
 
 
 @pytest.mark.parametrize("text, det_e, cf_f, genus_f", [

@@ -19,6 +19,7 @@ from lgmirror import (
     transpose,
     validate_invertible,
 )
+from lgmirror.ip_core import scaled_inverse
 
 
 def solve_weights_cramer(E, d):
@@ -230,6 +231,21 @@ def test_weights_against_cramer_oracle(corpus_fs):
         assert ws.w == solve_weights_cramer(f.E, ws.d)
         for row in f.E:
             assert sum(e * w for e, w in zip(row, ws.w)) == ws.d
+
+
+def test_scaled_inverse_and_weights(corpus_fs):
+    """d E^{-1} with d = |det E| is integral, inverts E up to d, and its row
+    sums are the canonical weights, for f and f^T."""
+    for f in corpus_fs[::11]:
+        for g in (f, transpose(f)):
+            M, ws = scaled_inverse(g), canonical_weights(g)
+            n = g.n
+            for i in range(n):
+                for j in range(n):
+                    want = ws.d if i == j else 0
+                    assert sum(g.E[i][k] * M[k][j] for k in range(n)) == want
+                    assert sum(M[i][k] * g.E[k][j] for k in range(n)) == want
+            assert tuple(sum(row) for row in M) == ws.w
 
 
 def test_weights_monomial_order_invariant():

@@ -5,7 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from lgmirror import (
+    DiagonalGroup,
+    NotASubgroup,
     NotASymmetry,
+    NotSymmetryOfCusp,
     age_and_fix,
     canonical_weights,
     cf,
@@ -16,17 +19,19 @@ from lgmirror import (
     g0_group,
     gfin,
     group_from_generators,
-    in_sl,
     is_sl_subgroup,
     junior_count,
+    lefschetz_numbers,
     parse_group_spec,
     parse_polynomial,
     phase_vector,
+    poincare_series,
     subgroup_fixing_coordinate,
     subgroups_containing_g0,
     transpose,
     trivial_group,
 )
+from lgmirror.cusp_side import gabrielov_from_gamma
 
 SAMPLE = [
     "x^2+y^3+z^4",
@@ -134,8 +139,9 @@ def test_subgroup_fixing_coordinate():
 
 
 def test_in_sl():
-    assert in_sl(phase_vector([F(1, 2), 0, F(1, 2)]))
-    assert not in_sl(g0(parse_polynomial("x^2+y^3+z^5")))  # sum 31/30
+    f6 = parse_polynomial("x^2+y^3+z^6")
+    assert is_sl_subgroup(group_from_generators(f6, [phase_vector([F(1, 2), 0, F(1, 2)])]))
+    assert not is_sl_subgroup(g0_group(parse_polynomial("x^2+y^3+z^5")))  # sum 31/30
 
 
 def test_index_group_spec():
@@ -216,3 +222,40 @@ def test_chain_and_loop_duals_are_cyclic():
     for i in range(3):
         assert any(g.phases[i] == F(1, cl) and g.order() == cl
                    for g in GTl.elements)
+
+
+# ---------------------------------------------------------------------------
+# groups that are not subgroups of the symmetry group at hand
+
+def test_group_of_another_polynomial_is_refused():
+    f = parse_polynomial("x^2+y^3+z^6")
+    other = g0_group(parse_polynomial("x^5+y^5+z^5"))
+    for fn in (dual_group, lefschetz_numbers):
+        with pytest.raises(NotASubgroup, match="^group context does not match the polynomial$"):
+            fn(f, other)
+    with pytest.raises(NotASubgroup, match="^group order does not divide"):
+        poincare_series(f, other)  # |G| = 5 does not divide |G^fin| = 36
+
+
+def test_hand_built_group_fails_the_generator_check():
+    # basis row (1, 35, 0) mod 36: in SL, but x^2 picks up the phase 2/36
+    f = parse_polynomial("x^2+y^3+z^6")
+    G = DiagonalGroup(context=f, basis=((1, 35, 0), (0, 36, 0), (0, 0, 36)), d=36, order=36)
+    with pytest.raises(NotASubgroup,
+                       match=r"^\(1/36, 35/36, 0\) is not a diagonal symmetry of the polynomial$"):
+        dual_group(f, G)
+    with pytest.raises(NotASubgroup,
+                       match=r"^\(1/36, 35/36, 0\) is not a symmetry of the polynomial$"):
+        lefschetz_numbers(f, G)
+    with pytest.raises(NotSymmetryOfCusp,
+                       match=r"^\(1/36, 35/36, 0\) does not fix the monomial with exponent 2$"):
+        gabrielov_from_gamma((2, 3, 6), G)
+
+
+def test_index_without_a_unique_subgroup_is_refused():
+    f = parse_polynomial("x^2+y^3+z^6")  # cf 6: indices 1, 2, 3, 6
+    with pytest.raises(NotASubgroup, match="^index 5: found 0 subgroups, need exactly 1$"):
+        parse_group_spec(f, "index:5")
+    f4 = parse_polynomial("x^4+y^4+z^4")
+    with pytest.raises(NotASubgroup, match="^index 4: found 7 subgroups, need exactly 1$"):
+        parse_group_spec(f4, "index:4")
