@@ -23,21 +23,16 @@ from .ip_core import (  # noqa: F401
     validate_invertible,
 )
 from .symmetry import (  # noqa: F401
-    AgeReport,
     DiagonalGroup,
-    PhaseVector,
-    age_and_fix,
     contains_g0,
     dual_group,
     format_group,
-    g0,
     g0_group,
     gfin,
     group_from_generators,
     is_sl_subgroup,
     junior_count,
     parse_group_spec,
-    phase_vector,
     subgroup_fixing_coordinate,
     subgroups_containing_g0,
     trivial_group,
@@ -61,8 +56,6 @@ from .cusp_side import (  # noqa: F401
 )
 from .spectra import (  # noqa: F401
     CycloVector,
-    ExponentList,
-    LefschetzTable,
     PoincareVerdict,
     char_poly_qh,
     cyclo_expand,

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import LGMirrorError
-from .curve_side import curve_invariants, dolgachev
+from .curve_side import curve_invariants
 from .cusp_side import gabrielov, gabrielov_prime
 from .harness import (
     analyze,
@@ -73,8 +73,8 @@ def _cmd_dual(args):
 def _cmd_dolgachev(args):
     f = _parse_poly(args.polynomial)
     G = parse_group_spec(f, args.group)
-    data = dolgachev(f, G)
     ci = curve_invariants(f, G)
+    data = ci.dolgachev
     text = (f"dolgachev: {list(data.multiset)}\n"
             f"genus: {ci.genus}\nstringy euler: {ci.e_st}")
     _print(args, text, {
@@ -105,16 +105,15 @@ def _cmd_gabrielov(args):
 
 def _cmd_charpoly(args):
     f = _parse_poly(args.polynomial)
-    if args.group in ("trivial", "1", "{1}"):
+    G = parse_group_spec(f, args.group)
+    if G.order == 1:
         exps, vec = char_poly_qh(f)
         payload = {"charpoly": vec.to_json(), "degree": vec.degree,
-                   "exponents": [str(q) for q in exps.exponents]}
-        _print(args, f"{vec}  (degree {vec.degree})", payload)
+                   "exponents": [str(q) for q in exps]}
     else:
-        G = parse_group_spec(f, args.group)
         vec = equivariant_char_poly(f, G)
-        _print(args, f"{vec}  (degree {vec.degree})",
-               {"charpoly": vec.to_json(), "degree": vec.degree})
+        payload = {"charpoly": vec.to_json(), "degree": vec.degree}
+    _print(args, f"{vec}  (degree {vec.degree})", payload)
     return 0
 
 

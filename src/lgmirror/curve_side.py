@@ -53,7 +53,7 @@ class DolgachevData:
 @dataclass(frozen=True)
 class CurveInvariants:
     genus: int
-    dolgachev: tuple[int, ...]
+    dolgachev: DolgachevData
     e_st: int
 
 
@@ -147,7 +147,8 @@ def genus(f: InvertiblePolynomial, G: DiagonalGroup) -> int:
 
 
 def curve_invariants(f: InvertiblePolynomial, G: DiagonalGroup) -> CurveInvariants:
-    """Genus, Dolgachev multiset and stringy Euler number 2 - 2g + sum (alpha - 1)."""
-    A = dolgachev(f, G).multiset
+    """Genus, Dolgachev data and stringy Euler number 2 - 2g + sum (alpha - 1)."""
+    data = dolgachev(f, G)
     g = genus(f, G)
-    return CurveInvariants(genus=g, dolgachev=A, e_st=2 - 2 * g + sum(a - 1 for a in A))
+    return CurveInvariants(genus=g, dolgachev=data,
+                           e_st=2 - 2 * g + sum(a - 1 for a in data.multiset))

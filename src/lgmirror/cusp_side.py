@@ -21,7 +21,13 @@ from .errors import NonIntegral, NotSL, NotSymmetryOfCusp
 from .curve_side import dolgachev_gfin
 from .ip_core import InvertiblePolynomial, transpose
 from .spectra import CycloVector
-from .symmetry import DiagonalGroup, is_sl_subgroup, junior_count, subgroup_fixing_coordinate
+from .symmetry import (
+    DiagonalGroup,
+    format_phases,
+    is_sl_subgroup,
+    junior_count,
+    subgroup_fixing_coordinate,
+)
 
 __all__ = [
     "CuspPolynomial",
@@ -86,8 +92,9 @@ def _check_action(gamma_prime, G: DiagonalGroup):
                    for i, gi in enumerate(gamma_prime)]
     bad = G.unfixed_monomial(pure_powers)
     if bad:
-        g, row = bad
-        raise NotSymmetryOfCusp(f"{g} does not fix the monomial with exponent {sum(row)}")
+        u, row = bad
+        raise NotSymmetryOfCusp(
+            f"{format_phases(u, G.d)} does not fix the monomial with exponent {sum(row)}")
 
 
 def gabrielov_from_gamma(gamma_prime, G: DiagonalGroup) -> GabrielovData:

@@ -113,7 +113,7 @@ def verify_mirror(f: InvertiblePolynomial, G: DiagonalGroup) -> MirrorReport:
     gd = gabrielov(transpose(f), GT)
     return MirrorReport(
         polynomial=format_polynomial(f), group=format_group(G),
-        dolgachev=ci.dolgachev, gabrielov=gd.multiset, genus=ci.genus, junior=gd.j,
+        dolgachev=ci.dolgachev.multiset, gabrielov=gd.multiset, genus=ci.genus, junior=gd.j,
         e_st=ci.e_st, mu=gd.milnor)
 
 
@@ -430,10 +430,8 @@ def analyze(f: InvertiblePolynomial, G: DiagonalGroup | None = None,
     tag = classify3(f)
     GT = dual_group(f, G)
     ft = transpose(f)
-    ci = curve_invariants(f, G)
-    A, g, e_st = ci.dolgachev, ci.genus, ci.e_st
+    rep = verify_mirror(f, G)
     cp = gabrielov_prime(ft)
-    gd = gabrielov(ft, GT)
     series: dict[str, dict | None] = {}
     try:
         series["poincare"] = poincare_series(f, G).to_json()
@@ -444,8 +442,8 @@ def analyze(f: InvertiblePolynomial, G: DiagonalGroup | None = None,
     series["phi"] = equivariant_char_poly(ft, GT).to_json()
     return {
         "input": {
-            "polynomial": format_polynomial(f),
-            "group": group_label or format_group(G),
+            "polynomial": rep.polynomial,
+            "group": group_label or rep.group,
         },
         "exponent_matrix": [list(row) for row in f.E],
         "det": abs(det(f)),
@@ -455,21 +453,22 @@ def analyze(f: InvertiblePolynomial, G: DiagonalGroup | None = None,
             "cf": ws.cf,
         },
         "type": {"tag": tag.tag, "params": list(tag.params), "perm": list(tag.perm)},
-        "group": {"order": G.order, "generators": format_group(G)},
+        "group": {"order": G.order, "generators": rep.group},
         "dual": {"order": GT.order, "generators": format_group(GT)},
-        "curve": {"genus": g, "dolgachev": list(A), "stringy_euler": e_st},
+        "curve": {"genus": rep.genus, "dolgachev": list(rep.dolgachev),
+                  "stringy_euler": rep.e_st},
         "cusp": {
             "gamma_prime": list(cp.gamma_prime),
             "delta": cp.delta,
-            "gabrielov": list(gd.multiset),
-            "junior": gd.j,
-            "milnor": gd.milnor,
+            "gabrielov": list(rep.gabrielov),
+            "junior": rep.junior,
+            "milnor": rep.mu,
         },
         "series": series,
         "checks": {
-            "a_eq_gamma": list(A) == list(gd.multiset),
-            "g_eq_j": g == gd.j,
-            "e_eq_mu": e_st == gd.milnor,
+            "a_eq_gamma": rep.a_eq_gamma,
+            "g_eq_j": rep.g_eq_j,
+            "e_eq_mu": rep.e_eq_mu,
         },
     }
 

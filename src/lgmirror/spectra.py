@@ -17,12 +17,10 @@ from math import gcd
 from .errors import LGMirrorError, NonIntegral, NotASubgroup, NotGraded, NotPolynomial, NotSL
 from .ip_core import InvertiblePolynomial, canonical_weights, cf, classify3, reduced_weights, transpose
 from .curve_side import dolgachev, genus
-from .symmetry import DiagonalGroup, dual_group, g0_group, gfin, is_sl_subgroup
+from .symmetry import DiagonalGroup, dual_group, format_phases, g0_group, gfin, is_sl_subgroup
 
 __all__ = [
     "CycloVector",
-    "ExponentList",
-    "LefschetzTable",
     "PoincareVerdict",
     "cyclo_expand",
     "poincare_series",
@@ -252,32 +250,9 @@ def psi_closed_form(f: InvertiblePolynomial) -> CycloVector:
 # ---------------------------------------------------------------------------
 # monodromy traces and characteristic polynomials
 
-@dataclass(frozen=True)
-class ExponentList:
-    """Multiset of monodromy exponents q (eigenvalues e[q]), denominators | d-tilde."""
-
-    exponents: tuple[Fraction, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.exponents)
-
-
-@dataclass(frozen=True)
-class LefschetzTable:
-    """Integer traces L_k of the k-th monodromy power, k = 1..modulus."""
-
-    values: tuple[int, ...]
-    modulus: int
-
-    def __getitem__(self, k: int) -> int:
-        if k < 1:
-            raise KeyError(k)
-        return self.values[(k - 1) % self.modulus]
-
-
-def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> LefschetzTable:
-    """Sector-summed monodromy traces of the pair (f, G), G inside SL.
+def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> tuple[int, ...]:
+    """Sector-summed monodromy traces (L_1, ..., L_d~) of the pair (f, G),
+    G inside SL, with d~ the reduced weighted degree (L_k has period d~).
 
     L_k = sum_g (-1)^{n_g+1} (1/|G|) sum_h prod_{i in Fix(g)}
           ( [phase_i(h) + k q_i in Z] / q_i  -  1 ),
@@ -287,7 +262,7 @@ def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> LefschetzTab
         raise NotASubgroup("group context does not match the polynomial")
     bad = G.unfixed_monomial(f.E)
     if bad:
-        raise NotASubgroup(f"{bad[0]} is not a symmetry of the polynomial")
+        raise NotASubgroup(f"{format_phases(bad[0], G.d)} is not a symmetry of the polynomial")
     if not is_sl_subgroup(G):
         raise NotSL("trace formula needs G inside SL_n")
     ws = reduced_weights(f)
@@ -318,15 +293,16 @@ def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> LefschetzTab
         if total.denominator != 1:
             raise NonIntegral(f"L_{k} = {total} is not an integer")
         values.append(int(total))
-    return LefschetzTable(values=tuple(values), modulus=dt)
+    return tuple(values)
 
 
-def _invert_traces(table: LefschetzTable) -> CycloVector:
-    """Recover e(m) from traces: m e(m) = sum_{k|m} mu(m/k) L_k, m | modulus."""
-    dt = table.modulus
+def _invert_traces(traces: tuple[int, ...]) -> CycloVector:
+    """Recover e(m) from traces (L_1, ..., L_d~): m e(m) = sum_{k|m} mu(m/k) L_k,
+    m | d~."""
+    dt = len(traces)
     e: dict[int, int] = {}
     for m in _divisors(dt):
-        s = sum(_moebius(m // k) * table[k] for k in _divisors(m))
+        s = sum(_moebius(m // k) * traces[k - 1] for k in _divisors(m))
         q, r = divmod(s, m)
         if r:
             raise NonIntegral(f"m*e(m) = {s} not divisible by m = {m}")
@@ -334,9 +310,9 @@ def _invert_traces(table: LefschetzTable) -> CycloVector:
             e[m] = q
     for k in range(1, dt + 1):
         recon = sum(m * em for m, em in e.items() if k % m == 0)
-        if recon != table[k]:
+        if recon != traces[k - 1]:
             raise NonIntegral(
-                f"trace reconstruction failed at k={k}: {recon} != {table[k]}")
+                f"trace reconstruction failed at k={k}: {recon} != {traces[k - 1]}")
     return CycloVector.from_entries(e)
 
 
@@ -345,8 +321,8 @@ def equivariant_char_poly(f: InvertiblePolynomial, G: DiagonalGroup) -> CycloVec
     return _invert_traces(lefschetz_numbers(f, G))
 
 
-def char_poly_qh(f: InvertiblePolynomial) -> tuple[ExponentList, CycloVector]:
-    """Monodromy exponents and characteristic polynomial of weighted
+def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVector]:
+    """Sorted monodromy exponents and characteristic polynomial of weighted
     homogeneous f, by direct expansion of prod_i (u^{w_i} - u^{d}) / (1 - u^{w_i})
     over the reduced weights.
 
@@ -383,16 +359,13 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[ExponentList, CycloVector]:
                     "eigenvalue multiplicities are not Galois-stable")
         else:
             class_count[g] = residue_counts[r]
-    traces = []
-    for k in range(1, dt + 1):
-        traces.append(sum(
-            count * _ramanujan(dt // g, k) for g, count in class_count.items()))
-    table = LefschetzTable(values=tuple(traces), modulus=dt)
-    vec = _invert_traces(table)
+    vec = _invert_traces(tuple(
+        sum(count * _ramanujan(dt // g, k) for g, count in class_count.items())
+        for k in range(1, dt + 1)))
     if vec.degree != len(exponents):
         raise NonIntegral(
             f"degree {vec.degree} != exponent count {len(exponents)}")
-    return ExponentList(exponents=tuple(sorted(exponents))), vec
+    return tuple(sorted(exponents)), vec
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -17,11 +17,7 @@ the formatter scans them lazily.
 Every check is made on integer vectors.  One test, E u = 0 mod d, decides
 whether u / d is a symmetry; it serves group literals, G^fin, and (through
 :meth:`DiagonalGroup.unfixed_monomial`) the Krawitz dual, the trace formula
-and the cusp action.  Membership in SL is a row sum mod d.  Phase vectors
-(exact ``Fraction`` phases) appear only at the boundary: the generators a
-group literal is read from, the grading operator :func:`g0`,
-:func:`age_and_fix`, error messages and the ``elements`` / ``generators``
-views, which only tests read.
+and the cusp action.  Membership in SL is a row sum mod d.
 """
 
 from __future__ import annotations
@@ -30,23 +26,18 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotASubgroup, NotASymmetry, NotInvertible
 from .ip_core import InvertiblePolynomial, canonical_weights, det, scaled_inverse, transpose
 
 __all__ = [
-    "PhaseVector",
     "DiagonalGroup",
-    "AgeReport",
-    "phase_vector",
     "gfin",
-    "g0",
     "g0_group",
     "trivial_group",
     "group_from_generators",
     "dual_group",
-    "age_and_fix",
     "junior_count",
     "subgroup_fixing_coordinate",
     "is_sl_subgroup",
@@ -54,41 +45,8 @@ __all__ = [
     "subgroups_containing_g0",
     "parse_group_spec",
     "format_group",
+    "format_phases",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class PhaseVector:
-    """Phases (each in [0,1)) of a diagonal map diag(e[p_1], ..., e[p_n])."""
-
-    phases: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.phases))
-
-    def __neg__(self) -> "PhaseVector":
-        return PhaseVector(tuple((-a) % 1 for a in self.phases))
-
-    def is_identity(self) -> bool:
-        return all(p == 0 for p in self.phases)
-
-    def order(self) -> int:
-        """Multiplicative order: lcm of the phase denominators."""
-        r = 1
-        for p in self.phases:
-            r = r * p.denominator // gcd(r, p.denominator)
-        return r
-
-    def __str__(self):
-        return "(" + ", ".join(str(p) for p in self.phases) + ")"
-
-
-PhaseVector.__hash__ = lambda self: self._hash
-
-
-def phase_vector(values) -> PhaseVector:
-    """Build a phase vector, reducing every entry mod 1."""
-    return PhaseVector(tuple(Fraction(v) % 1 for v in values))
 
 
 @dataclass(frozen=True)
@@ -98,9 +56,7 @@ class DiagonalGroup:
     ``basis`` is the Hermite normal form of the lattice G + dZ^n: row i is
     zero before column i, its pivot h_i divides d, and the entries above a
     pivot lie in [0, h_i).  Groups compare and hash by ``(context, basis)``;
-    ``order`` = d^n / prod h_i.  The views ``rows`` (every element as an
-    integer vector mod d), ``elements`` and ``generators`` (phase vectors)
-    are built on first use.
+    ``order`` = d^n / prod h_i.  ``rows`` lists every element on first use.
     """
 
     context: InvertiblePolynomial
@@ -111,56 +67,31 @@ class DiagonalGroup:
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Every element as an integer vector mod d, in lexicographic order."""
-        d = self.d
-        rows = [(0,) * len(self.basis)]
+        return tuple(_coset_reps(self, _hnf([], self.d, len(self.basis))))
+
+    def unfixed_monomial(self, E) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The first generator (a basis row) and the first exponent row of E
+        whose monomial it does not fix, or None when every generator fixes
+        every monomial."""
         for i, b in enumerate(self.basis):
-            rows = [tuple((a + c * x) % d for a, x in zip(u, b))
-                    for u in rows for c in range(d // b[i])]
-        return tuple(sorted(rows))
-
-    @cached_property
-    def elements(self) -> tuple[PhaseVector, ...]:
-        """Every element as a phase vector, in lexicographic order."""
-        return tuple(_unscale(u, self.d) for u in self.rows)
-
-    @property
-    def generators(self) -> tuple[PhaseVector, ...]:
-        """The basis rows that are non-zero mod d, as phase vectors."""
-        return tuple(_unscale(b, self.d) for b in _generator_rows(self))
-
-    def unfixed_monomial(self, E) -> tuple[PhaseVector, tuple[int, ...]] | None:
-        """The first generator and the first exponent row of E whose monomial
-        it does not fix, or None when every generator fixes every monomial."""
-        for b in _generator_rows(self):
+            if b[i] == self.d:  # the row d e_i is zero mod d
+                continue
             for row in E:
                 if not _fixes_monomials((row,), b, self.d):
-                    return _unscale(b, self.d), row
+                    return b, row
         return None
 
     def __str__(self):
         return format_group(self)
 
 
-@dataclass(frozen=True)
-class AgeReport:
-    age: Fraction
-    nfix: int
-    fixed: frozenset[int]
+def format_phases(u, d: int) -> str:
+    """The phases u / d mod 1 of a diagonal map, as in ``(1/2, 1/3, 0)``."""
+    return "(" + ", ".join(str(Fraction(a % d, d)) for a in u) + ")"
 
 
 # ---------------------------------------------------------------------------
 # integer vectors mod d and their lattices
-
-def _scale(g: PhaseVector, d: int) -> tuple[int, ...] | None:
-    """d g as an integer vector, or None when the order of g does not divide d."""
-    if any(d % p.denominator for p in g.phases):
-        return None
-    return tuple(p.numerator * (d // p.denominator) for p in g.phases)
-
-
-def _unscale(u: tuple[int, ...], d: int) -> PhaseVector:
-    return PhaseVector(tuple(Fraction(a, d) for a in u))
-
 
 def _order(u, d: int) -> int:
     return d // gcd(d, *u)
@@ -230,11 +161,6 @@ def _member(basis, d: int, u) -> bool:
     return not any(_reduce(basis, d, u))
 
 
-def _generator_rows(G: DiagonalGroup) -> tuple[tuple[int, ...], ...]:
-    """Basis rows with pivot below d (a row with pivot d is redundant mod d)."""
-    return tuple(b for i, b in enumerate(G.basis) if b[i] < G.d)
-
-
 def _from_basis(f: InvertiblePolynomial, basis) -> DiagonalGroup:
     d = abs(det(f))
     index = 1
@@ -271,17 +197,11 @@ def gfin(f: InvertiblePolynomial) -> DiagonalGroup:
     for u in gens:
         if not _fixes_monomials(f.E, u, d):
             raise NotInvertible(
-                f"generator {_unscale(u, d)} is not a symmetry; bad matrix?")
+                f"generator {format_phases(u, d)} is not a symmetry; bad matrix?")
     G = _group(f, gens)
     if G.order != d:
         raise NotInvertible(f"symmetry group order {G.order} != |det E| = {d}")
     return G
-
-
-@lru_cache(maxsize=None)
-def g0(f: InvertiblePolynomial) -> PhaseVector:
-    """Exponential grading operator: phases (q_1, ..., q_n) mod 1."""
-    return phase_vector(canonical_weights(f).q)
 
 
 def trivial_group(f: InvertiblePolynomial) -> DiagonalGroup:
@@ -289,14 +209,31 @@ def trivial_group(f: InvertiblePolynomial) -> DiagonalGroup:
 
 
 def group_from_generators(context: InvertiblePolynomial, gens) -> DiagonalGroup:
-    """Closure of the given phase vectors inside the symmetry group of ``context``."""
-    gens = [g if isinstance(g, PhaseVector) else phase_vector(g) for g in gens]
-    d = abs(det(context))
-    rows = [_scale(g, d) for g in gens]
-    for g, u in zip(gens, rows):
-        if u is None or not _fixes_monomials(context.E, u, d):
-            raise NotASymmetry(f"{g} does not leave every monomial invariant")
-    return _group(context, rows)
+    """Closure inside the symmetry group of ``context`` of the given
+    generators, each a sequence of rational phases."""
+    literals = []
+    for g in gens:
+        g = [Fraction(p) for p in g]
+        r = lcm(*(p.denominator for p in g))
+        literals.append((r, [int(p * r) for p in g]))
+    return _literal_group(context, literals)
+
+
+def _literal_group(f: InvertiblePolynomial, literals) -> DiagonalGroup:
+    """Closure of the generators nums / r, given as pairs (r, nums).
+
+    The generator nums / r is the row nums * d / r mod d; it exists when r
+    divides every a * d and is a symmetry when it fixes every monomial.
+    """
+    d = abs(det(f))
+    rows = []
+    for r, nums in literals:
+        u = [a * d // r for a in nums]
+        if any(a * d % r for a in nums) or not _fixes_monomials(f.E, u, d):
+            raise NotASymmetry(
+                f"{format_phases(nums, r)} does not leave every monomial invariant")
+        rows.append(u)
+    return _group(f, rows)
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +259,8 @@ def dual_group(f: InvertiblePolynomial, G: DiagonalGroup) -> DiagonalGroup:
         raise NotASubgroup("group context does not match the polynomial")
     bad = G.unfixed_monomial(f.E)
     if bad:
-        raise NotASubgroup(f"{bad[0]} is not a diagonal symmetry of the polynomial")
+        raise NotASubgroup(
+            f"{format_phases(bad[0], G.d)} is not a diagonal symmetry of the polynomial")
     d, n, B = G.d, f.n, G.basis
     # M = d B^{-1}, integral because the rows of B span d Z^n; B upper triangular
     M = [[0] * n for _ in range(n)]
@@ -338,13 +276,7 @@ def dual_group(f: InvertiblePolynomial, G: DiagonalGroup) -> DiagonalGroup:
 
 
 # ---------------------------------------------------------------------------
-# ages, fixed loci, junior elements
-
-def age_and_fix(g: PhaseVector) -> AgeReport:
-    """Age = sum of phases taken in [0,1); fixed coordinates have phase 0."""
-    fixed = frozenset(i for i, p in enumerate(g.phases) if p == 0)
-    return AgeReport(age=sum(g.phases, Fraction(0)), nfix=len(fixed), fixed=fixed)
-
+# junior elements and stabilisers
 
 def junior_count(G: DiagonalGroup) -> int:
     """Number of elements of age exactly 1 fixing only the origin."""
@@ -379,8 +311,9 @@ def contains_g0(G: DiagonalGroup) -> bool:
 # ---------------------------------------------------------------------------
 # subgroup enumeration for the verification harness
 
-def _coset_reps(H: DiagonalGroup, K: DiagonalGroup) -> list[tuple[int, ...]]:
-    """Sorted canonical representatives of H/K, for K <= H.
+def _coset_reps(H: DiagonalGroup, K) -> list[tuple[int, ...]]:
+    """Sorted canonical representatives of H/K, for K <= H given by its
+    Hermite basis; with K trivial (basis d I), every element of H.
 
     The sums sum_i c_i h_i of H's basis rows with 0 <= c_i < k_ii / h_ii
     meet every coset once (compare leading coordinates).
@@ -389,8 +322,8 @@ def _coset_reps(H: DiagonalGroup, K: DiagonalGroup) -> list[tuple[int, ...]]:
     reps = [(0,) * len(H.basis)]
     for i, b in enumerate(H.basis):
         reps = [tuple((a + c * x) % d for a, x in zip(u, b))
-                for u in reps for c in range(K.basis[i][i] // b[i])]
-    return sorted(_reduce(K.basis, d, u) for u in reps)
+                for u in reps for c in range(K[i][i] // b[i])]
+    return sorted(_reduce(K, d, u) for u in reps)
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +336,7 @@ def subgroups_containing_g0(f: InvertiblePolynomial) -> tuple[DiagonalGroup, ...
     canonical basis.
     """
     G0 = g0_group(f)
-    reps = _coset_reps(gfin(f), G0)
+    reps = _coset_reps(gfin(f), G0.basis)
     found = {G0.basis: G0}
     frontier = [G0]
     while frontier:
@@ -417,7 +350,7 @@ def subgroups_containing_g0(f: InvertiblePolynomial) -> tuple[DiagonalGroup, ...
                     found[T.basis] = T
                     new.append(T)
         frontier = new
-    return tuple(sorted(found.values(), key=lambda H: (H.order, _coset_reps(H, G0))))
+    return tuple(sorted(found.values(), key=lambda H: (H.order, _coset_reps(H, G0.basis))))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +378,7 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> DiagonalGroup:
             raise NotASubgroup(
                 f"index {k}: found {len(matches)} subgroups, need exactly 1")
         return matches[0]
-    gens = []
+    literals = []
     for part in spec.split(";"):
         part = part.strip()
         m = _GROUP_RE.fullmatch(part)
@@ -455,8 +388,8 @@ def parse_group_spec(f: InvertiblePolynomial, spec: str) -> DiagonalGroup:
         nums = [int(x) for x in m.group(2).split(",")]
         if len(nums) != f.n or r <= 0:
             raise NotASymmetry(f"bad generator {part!r}")
-        gens.append(phase_vector(Fraction(a, r) for a in nums))
-    return group_from_generators(f, gens)
+        literals.append((r, nums))
+    return _literal_group(f, literals)
 
 
 _GROUP_RE = re.compile(r"1\s*/\s*(\d+)\s*\(\s*([-\d\s,]+)\s*\)")

@@ -13,7 +13,8 @@ def genus_bp_oracle(f, G) -> int:
 
     Counts exponent triples (r_1,r_2,r_3), 0 <= r_i <= p_i - 2, whose
     monomial top form has weighted degree one and is G-invariant, i.e.
-    sum (r_i+1)/p_i = 1 and sum (r_i+1)*phase_i(g) in Z for every generator.
+    sum (r_i+1)/p_i = 1 and sum (r_i+1)*u_i = 0 mod d for every basis row u
+    of G (the generator u / d).
     """
     E = f.E
     diag = [0, 0, 0]
@@ -35,10 +36,9 @@ def genus_bp_oracle(f, G) -> int:
                 if lhs != p1 * p2 * p3:
                     continue
                 invariant = True
-                for g in G.generators:
-                    chi = ((r1 + 1) * g.phases[0] + (r2 + 1) * g.phases[1]
-                           + (r3 + 1) * g.phases[2])
-                    if chi.denominator != 1:
+                for u in G.basis:
+                    chi = (r1 + 1) * u[0] + (r2 + 1) * u[1] + (r3 + 1) * u[2]
+                    if chi % G.d:
                         invariant = False
                         break
                 if invariant:

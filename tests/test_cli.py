@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lgmirror.cli import main
 
 
@@ -61,6 +63,15 @@ def test_charpoly_trivial_and_group(capsys):
         "12": 1, "3": 1, "2": 1, "1": -1, "6": -1, "4": -1}
 
 
+def test_charpoly_trivial_group_spellings_agree(capsys):
+    # a literal that generates the trivial group is the trivial group
+    for fmt in ("--format=text", "--json"):
+        want = run(capsys, fmt, "charpoly", "x^2+y^3+z^5", "-g", "trivial")
+        for spec in ("1", "{1}", "1/2(0,0,0)", "1/3(3,0,-6)"):
+            assert run(capsys, fmt, "charpoly", "x^2+y^3+z^5", "-g", spec) == want, spec
+    assert len(json.loads(want[1])["exponents"]) == 8
+
+
 def test_poincare(capsys):
     code, out, _ = run(capsys, "--json", "poincare", "x^2+y^3+z^4")
     assert code == 0
@@ -111,6 +122,17 @@ def test_invalid_input_exit_two(capsys):
 def test_invalid_group_exit_two(capsys):
     code, _, err = run(capsys, "dolgachev", "x^2+y^3+z^4", "-g", "1/5(1,1,1)")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec, phases", [
+    ("1/7(1,0,0)", "(1/7, 0, 0)"),  # 7 does not divide |det E| = 36
+    ("1/2(1,1,0)", "(1/2, 1/2, 0)"),  # y^3 picks up the phase 1/2
+    ("1/4(6,2,0)", "(1/2, 1/2, 0)"),  # printed mod 1, in lowest terms
+])
+def test_literal_that_is_not_a_symmetry_exit_two(capsys, spec, phases):
+    code, out, err = run(capsys, "dual", "x^2+y^3+z^6", "-g", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {phases} does not leave every monomial invariant\n"
 
 
 def test_nonunit_coefficient_notice(capsys):

@@ -1,6 +1,7 @@
 """Diagonal symmetry groups, duality, ages, junior counts."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -9,13 +10,12 @@ from lgmirror import (
     NotASubgroup,
     NotASymmetry,
     NotSymmetryOfCusp,
-    age_and_fix,
     canonical_weights,
     cf,
     contains_g0,
     det,
     dual_group,
-    g0,
+    format_group,
     g0_group,
     gfin,
     group_from_generators,
@@ -24,7 +24,6 @@ from lgmirror import (
     lefschetz_numbers,
     parse_group_spec,
     parse_polynomial,
-    phase_vector,
     poincare_series,
     subgroup_fixing_coordinate,
     subgroups_containing_g0,
@@ -49,27 +48,39 @@ def test_gfin_order():
     assert gfin(parse_polynomial("x^2+y^3+z^4")).order == 24
 
 
+def _order(u, d):
+    """Order of the element u / d: d // gcd(d, u_1, ..., u_n)."""
+    return d // gcd(d, *u)
+
+
 def test_gfin_contains_identity():
     G = gfin(parse_polynomial("x^2+y^3+z^4"))
-    assert any(g.is_identity() for g in G.elements)
+    assert (0, 0, 0) in G.rows
 
 
 def test_gfin_loop_cyclic():
     G = gfin(parse_polynomial("x^3*y+y^3*z+z^3*x"))
     assert G.order == 28
-    assert any(g.order() == 28 for g in G.elements)
+    assert any(_order(u, G.d) == 28 for u in G.rows)
 
 
 def test_g0_values():
-    assert g0(parse_polynomial("x^2+y^3+z^6")).phases == (F(1, 2), F(1, 3), F(1, 6))
-    assert g0(parse_polynomial("x^2+x*y^3+y*z^5")).phases == (F(1, 2), F(1, 6), F(1, 6))
+    for text, spec in [("x^2+y^3+z^6", "1/6(3,2,1)"), ("x^2+x*y^3+y*z^5", "1/6(3,1,1)")]:
+        f = parse_polynomial(text)
+        assert g0_group(f) == parse_group_spec(f, spec)
+        assert format_group(g0_group(f)) == spec
 
 
 def test_age_of_g0_is_weight_sum():
+    # g_0 = (q_1, ..., q_n) mod 1 lies in G_0 as the row (w_i mod d); its age
+    # sum(u) / d is the weight sum
     for text in SAMPLE:
         f = parse_polynomial(text)
         ws = canonical_weights(f)
-        assert age_and_fix(g0(f)).age == sum(ws.q)
+        G0 = g0_group(f)
+        u = tuple(w * G0.d // ws.d % G0.d for w in ws.w)
+        assert u in G0.rows
+        assert F(sum(u), G0.d) == sum(ws.q)
 
 
 def test_group_from_generators_trivial():
@@ -95,30 +106,29 @@ def test_group_from_generators_rejects_non_symmetry():
         group_from_generators(parse_polynomial("x^2+y^3+z^4"), [(F(1, 5), 0, 0)])
 
 
+@pytest.mark.parametrize("spec", ["1/4(2,0,6)", "1/2(-1,0,1)", "1/6(3,0,-15)"])
+def test_literals_are_read_mod_one(spec):
+    f = parse_polynomial("x^2+y^3+z^6")
+    G = parse_group_spec(f, spec)
+    assert G == parse_group_spec(f, "1/2(1,0,1)")
+    assert G.order == 2
+
+
 def test_dual_group_values():
     f = parse_polynomial("x^2+x*y^3+y*z^5")
     GT = dual_group(f, g0_group(f))
-    assert set(GT.elements) == set(
-        group_from_generators(transpose(f), [(F(1, 5), F(3, 5), F(1, 5))]).elements)
+    assert GT.rows == group_from_generators(
+        transpose(f), [(F(1, 5), F(3, 5), F(1, 5))]).rows
 
     fl = parse_polynomial("x^3*y+y^3*z+z^3*x")
     GTl = dual_group(fl, g0_group(fl))
-    assert set(GTl.elements) == set(
-        group_from_generators(transpose(fl), [(F(1, 7), F(2, 7), F(4, 7))]).elements)
+    assert GTl.rows == group_from_generators(
+        transpose(fl), [(F(1, 7), F(2, 7), F(4, 7))]).rows
 
 
 def test_dual_of_maximal_group_is_trivial():
     f = parse_polynomial("x^2+y^3+z^4")
     assert dual_group(f, gfin(f)).order == 1
-
-
-def test_age_and_fix():
-    r = age_and_fix(phase_vector([F(1, 5), F(3, 5), F(1, 5)]))
-    assert (r.age, r.nfix, r.fixed) == (1, 0, frozenset())
-    r = age_and_fix(phase_vector([0, 0, 0]))
-    assert (r.age, r.nfix) == (0, 3)
-    r = age_and_fix(phase_vector([F(3, 5), F(4, 5), F(3, 5)]))
-    assert (r.age, r.nfix) == (2, 0)
 
 
 def test_junior_count():
@@ -140,7 +150,7 @@ def test_subgroup_fixing_coordinate():
 
 def test_in_sl():
     f6 = parse_polynomial("x^2+y^3+z^6")
-    assert is_sl_subgroup(group_from_generators(f6, [phase_vector([F(1, 2), 0, F(1, 2)])]))
+    assert is_sl_subgroup(group_from_generators(f6, [(F(1, 2), 0, F(1, 2))]))
     assert not is_sl_subgroup(g0_group(parse_polynomial("x^2+y^3+z^5")))  # sum 31/30
 
 
@@ -172,7 +182,7 @@ def test_duality_invariants():
             assert G.order * GT.order == d
             assert is_sl_subgroup(GT)
             back = dual_group(transpose(f), GT)
-            assert set(back.elements) == set(G.elements)
+            assert back.rows == G.rows
         assert dual_group(f, g0_group(f)).order == cf(f)
 
 
@@ -184,23 +194,25 @@ def test_dual_of_sl_group_contains_g0():
 
 
 def test_age_inverse_identity():
+    # age(u) = sum(u) / d; u and -u have phases a / d and (d - a) / d except
+    # at the fixed coordinates (the zero entries)
     for text in SAMPLE:
         f = parse_polynomial(text)
-        for g in gfin(f).elements:
-            a, b = age_and_fix(g), age_and_fix(-g)
-            assert a.age + b.age == f.n - a.nfix
+        G = gfin(f)
+        for u in G.rows:
+            minus = tuple(-a % G.d for a in u)
+            assert F(sum(u), G.d) + F(sum(minus), G.d) == f.n - u.count(0)
 
 
 def test_sl3_fixed_locus_properties():
     for text in SAMPLE:
         f = parse_polynomial(text)
         GT = dual_group(f, g0_group(f))
-        free = [g for g in GT.elements
-                if not g.is_identity() and age_and_fix(g).nfix == 0]
+        free = [u for u in GT.rows if u.count(0) == 0]
         assert len(free) == 2 * junior_count(GT)
-        for g in GT.elements:
-            if not g.is_identity():
-                assert age_and_fix(g).nfix in (0, 1)
+        for u in GT.rows:
+            if any(u):
+                assert u.count(0) in (0, 1)
 
 
 def test_chain_and_loop_duals_are_cyclic():
@@ -209,19 +221,19 @@ def test_chain_and_loop_duals_are_cyclic():
     f = parse_polynomial("x^2+x*y^3+y*z^5")  # chain z -> y -> x, cf = 5
     GT = dual_group(f, g0_group(f))
     c = cf(f)
-    gens = [g for g in GT.elements if g.order() == c]
+    gens = [u for u in GT.rows if _order(u, GT.d) == c]
     assert gens, "dual group not cyclic"
     head = 2  # variable z heads the chain
-    assert any(g.phases[head] == F(1, c) and g.order() == c for g in GT.elements)
+    assert any(F(u[head], GT.d) == F(1, c) and _order(u, GT.d) == c for u in GT.rows)
 
     # pure loops: for each coordinate some generator scales it by e[1/cf]
     fl = parse_polynomial("x^3*y+y^3*z+z^3*x")
     GTl = dual_group(fl, g0_group(fl))
     cl = cf(fl)
-    assert any(g.order() == cl for g in GTl.elements)
+    assert any(_order(u, GTl.d) == cl for u in GTl.rows)
     for i in range(3):
-        assert any(g.phases[i] == F(1, cl) and g.order() == cl
-                   for g in GTl.elements)
+        assert any(F(u[i], GTl.d) == F(1, cl) and _order(u, GTl.d) == cl
+                   for u in GTl.rows)
 
 
 # ---------------------------------------------------------------------------
