@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("analyze", _cmd_analyze, "full invariant report for a pair (f, G)")
     p.add_argument("polynomial")
     p.add_argument("-g", "--group", default="G0",
-                   help="group spec: G0 | Gfin | trivial | index:<k> | 1/r(a,b,c)[;...]")
+                   help="group spec: G0 | Gfin | index:<k> | 1/r(a,b,c)[;...]")
 
     p = add("transpose", _cmd_transpose, "Berglund-Huebsch transpose")
     p.add_argument("polynomial")

@@ -3,21 +3,31 @@
 The shared currency is the signed product prod_m (1 - t^m)^{e(m)}, stored as
 the map m -> e(m) (:class:`CycloVector`).  Multiplication is entrywise
 addition of exponents, equality is map equality, and the (virtual) degree is
-sum m*e(m).  Characteristic polynomials of group sectors are recovered from
-integer monodromy traces by Moebius inversion; everything stays in exact
-integer / rational arithmetic.
+sum m*e(m).  The equivariant characteristic polynomial of a group comes in
+closed form from at most eight coordinate projections of the group, the plain
+one from the expanded exponents and cyclotomic polynomials; everything stays
+in exact integer / rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import LGMirrorError, NonIntegral, NotASubgroup, NotGraded, NotPolynomial, NotSL
 from .ip_core import InvertiblePolynomial, canonical_weights, cf, classify3, reduced_weights, transpose
 from .curve_side import dolgachev, genus
-from .symmetry import DiagonalGroup, dual_group, format_phases, g0_group, gfin, is_sl_subgroup
+from .symmetry import (
+    DiagonalGroup,
+    _projection_orders,
+    dual_group,
+    format_phases,
+    g0_group,
+    gfin,
+    is_sl_subgroup,
+)
 
 __all__ = [
     "CycloVector",
@@ -61,30 +71,6 @@ def _moebius(n: int) -> int:
     if n > 1:
         result = -result
     return result
-
-
-def _euler_phi(n: int) -> int:
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-def _ramanujan(m: int, k: int) -> int:
-    """Sum of k-th powers of the primitive m-th roots of unity."""
-    g = gcd(k, m)
-    mg = m // g
-    mu = _moebius(mg)
-    if mu == 0:
-        return 0
-    return mu * (_euler_phi(m) // _euler_phi(mg))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +236,25 @@ def psi_closed_form(f: InvertiblePolynomial) -> CycloVector:
 # ---------------------------------------------------------------------------
 # monodromy traces and characteristic polynomials
 
-def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> tuple[int, ...]:
-    """Sector-summed monodromy traces (L_1, ..., L_d~) of the pair (f, G),
-    G inside SL, with d~ the reduced weighted degree (L_k has period d~).
+def _sector_exponents(f: InvertiblePolynomial, G: DiagonalGroup) -> dict[int, int]:
+    """The exponents e(m) of phi = prod_m (1 - t^m)^{e(m)} for the pair (f, G),
+    G inside SL, in closed form from the projections of G (docs/LEDGER.md L2).
 
-    L_k = sum_g (-1)^{n_g+1} (1/|G|) sum_h prod_{i in Fix(g)}
-          ( [phase_i(h) + k q_i in Z] / q_i  -  1 ),
-    exact rationals throughout; every L_k is asserted integral.
+    With d = |det E|, reduced weights w~ and degree d~, and a_i = w~_i d / d~
+    mod d, the sector-summed trace formula
+        L_k = sum_g (-1)^{n_g+1} (1/|G|) sum_h
+              prod_{i in Fix(g)} ([h_i + k a_i = 0 mod d] d~/w~_i - 1)
+    expands over the subsets S of Fix(g) into
+        L_k = sum_S c_S [m_S | k],
+        c_S = (-1)^{|S|+1} |G| / |H_S|^2 prod_{i in S} d~/w~_i,
+    where H_S is the projection of G onto the coordinates S and m_S the
+    order of a_S in (Z/d)^S / H_S (S empty: c = -|G|, m = 1).  So
+    L_k = sum_{m | k} C_m with C_m = sum_{m_S = m} c_S, and e(m) = C_m / m.
+
+    Raises NonIntegral unless m divides C_m for every m.  That is the whole
+    integrality content of the trace formula: it makes every C_m, hence
+    every L_k, an integer, and L_k = sum_{m | k} m e(m) holds for all k by
+    construction.
     """
     if G.context != f:
         raise NotASubgroup("group context does not match the polynomial")
@@ -267,58 +265,48 @@ def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> tuple[int, .
         raise NotSL("trace formula needs G inside SL_n")
     ws = reduced_weights(f)
     wt, dt = ws.w, ws.d
-    d = canonical_weights(f).d
-    scale = d // dt
-    scaled = G.rows  # numerators of the phases over d
-    fixes = [tuple(i for i, a in enumerate(u) if a == 0) for u in scaled]
-    order = G.order
-    values = []
-    for k in range(1, dt + 1):
-        kq = [(k * wi * scale) % d for wi in wt]
-        total = Fraction(0)
-        for fix in fixes:
-            sign = -1 if len(fix) % 2 == 0 else 1
-            inner = Fraction(0)
-            for nums in scaled:
-                num, den = 1, 1
-                for i in fix:
-                    if (nums[i] + kq[i]) % d == 0:
-                        num *= dt - wt[i]
-                        den *= wt[i]
-                    else:
-                        num = -num
-                inner += Fraction(num, den)
-            total += sign * inner
-        total /= order
-        if total.denominator != 1:
-            raise NonIntegral(f"L_{k} = {total} is not an integer")
-        values.append(int(total))
-    return tuple(values)
+    a = [w * (G.d // dt) % G.d for w in wt]
+    sums: dict[int, Fraction] = {}
+    for size in range(f.n + 1):
+        for S in combinations(range(f.n), size):
+            order, m = _projection_orders(G, S, a)
+            c = Fraction(G.order, order * order)
+            for i in S:
+                c *= Fraction(dt, wt[i])
+            sums[m] = sums.get(m, 0) + (c if size % 2 else -c)
+    exponents = {}
+    for m, c in sums.items():
+        e = c / m
+        if e.denominator != 1:
+            raise NonIntegral(f"C_{m} = {c} is not divisible by {m}")
+        exponents[m] = int(e)
+    return exponents
 
 
-def _invert_traces(traces: tuple[int, ...]) -> CycloVector:
-    """Recover e(m) from traces (L_1, ..., L_d~): m e(m) = sum_{k|m} mu(m/k) L_k,
-    m | d~."""
-    dt = len(traces)
-    e: dict[int, int] = {}
-    for m in _divisors(dt):
-        s = sum(_moebius(m // k) * traces[k - 1] for k in _divisors(m))
-        q, r = divmod(s, m)
-        if r:
-            raise NonIntegral(f"m*e(m) = {s} not divisible by m = {m}")
-        if q:
-            e[m] = q
-    for k in range(1, dt + 1):
-        recon = sum(m * em for m, em in e.items() if k % m == 0)
-        if recon != traces[k - 1]:
-            raise NonIntegral(
-                f"trace reconstruction failed at k={k}: {recon} != {traces[k - 1]}")
-    return CycloVector.from_entries(e)
+def lefschetz_numbers(f: InvertiblePolynomial, G: DiagonalGroup) -> tuple[int, ...]:
+    """Sector-summed monodromy traces (L_1, ..., L_d~) of the pair (f, G),
+    G inside SL, with d~ the reduced weighted degree (L_k has period d~).
+
+    L_k = sum_{m | k} m e(m), from the closed-form exponents of
+    :func:`equivariant_char_poly`; no element of G is listed.
+    """
+    dt = reduced_weights(f).d
+    traces = [0] * dt
+    for m, e in _sector_exponents(f, G).items():
+        for k in range(m - 1, dt, m):
+            traces[k] += m * e
+    return tuple(traces)
 
 
 def equivariant_char_poly(f: InvertiblePolynomial, G: DiagonalGroup) -> CycloVector:
-    """Signed product over group sectors of monodromy characteristic polynomials."""
-    return _invert_traces(lefschetz_numbers(f, G))
+    """Signed product over the sectors of G (inside SL) of the monodromy
+    characteristic polynomials, prod_m (1 - t^m)^{e(m)}.
+
+    At most eight subsets S of the coordinates contribute, each through the
+    orders of two Hermite forms; neither the elements of G nor the d~ traces
+    are built.  Raises NonIntegral where an exponent is not an integer.
+    """
+    return CycloVector.from_entries(_sector_exponents(f, G))
 
 
 def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVector]:
@@ -326,18 +314,21 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVe
     homogeneous f, by direct expansion of prod_i (u^{w_i} - u^{d}) / (1 - u^{w_i})
     over the reduced weights.
 
-    The cyclotomic form is recovered from the exponent multiset through the
-    integer trace sums L_k = sum_q e[k q] and Moebius inversion, a route fully
-    independent of :func:`lefschetz_numbers`.
+    An exponent a / d~ contributes the eigenvalue e[a / d~], of order
+    n = d~ / gcd(a, d~).  The multiplicities must be equal on each such class
+    (an integer characteristic polynomial); with c_n the common value, the
+    cyclotomic form is prod_n Phi_n^{c_n}, Phi_n = prod_{m | n} (1 - t^m)^{mu(n/m)}
+    up to sign.  This route never touches a group and is independent of
+    :func:`equivariant_char_poly`; its degree is checked against the
+    exponent count.
     """
     ws = reduced_weights(f)
     wt, dt = ws.w, ws.d
     coeffs = [1]
     for w in wt:
-        factor = [0] * (dt + 1)
-        factor[w] += 1
-        factor[dt] -= 1
-        coeffs = _poly_mul(coeffs, factor)
+        # times u^w - u^d~
+        shifted = [0] * w + coeffs + [0] * (dt - w)
+        coeffs = [x - y for x, y in zip(shifted, [0] * dt + coeffs)]
     for w in wt:
         coeffs = _poly_div_one_minus_tm(coeffs, w)
     if any(c < 0 for c in coeffs):
@@ -348,8 +339,6 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVe
         if c:
             exponents.extend([Fraction(a, dt)] * c)
             residue_counts[a % dt] += c
-    # eigenvalue multiplicities must be constant on classes of equal order
-    # (integer characteristic polynomial), which licenses Ramanujan sums
     class_count: dict[int, int] = {}
     for r in range(dt):
         g = gcd(r, dt)
@@ -359,26 +348,13 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVe
                     "eigenvalue multiplicities are not Galois-stable")
         else:
             class_count[g] = residue_counts[r]
-    vec = _invert_traces(tuple(
-        sum(count * _ramanujan(dt // g, k) for g, count in class_count.items())
-        for k in range(1, dt + 1)))
+    vec = CycloVector.from_entries(
+        [(m, _moebius(dt // g // m) * count)
+         for g, count in class_count.items() for m in _divisors(dt // g)])
     if vec.degree != len(exponents):
         raise NonIntegral(
             f"degree {vec.degree} != exponent count {len(exponents)}")
-    return tuple(sorted(exponents)), vec
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return tuple(exponents), vec
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ bases are, and |G| = d^n / (product of the pivots).
 
 Membership is reduction by the triangular basis, the Krawitz dual is an
 annihilator computed by integer linear algebra on n x n matrices, and the
-subgroup lattice between G_0 and G^fin is walked on bases.  Elements are
-enumerated only where an invariant needs them (junior counts, traces), and
-the formatter scans them lazily.
+subgroup lattice between G_0 and G^fin is walked on bases, and so are the
+coordinate projections the trace formula counts with.  Elements are
+enumerated only where an invariant needs them (junior counts), and the
+formatter scans them lazily.
 
 Every check is made on integer vectors.  One test, E u = 0 mod d, decides
 whether u / d is a symmetry; it serves group literals, G^fin, and (through
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import NotASubgroup, NotASymmetry, NotInvertible
 from .ip_core import InvertiblePolynomial, canonical_weights, det, scaled_inverse, transpose
@@ -298,6 +299,21 @@ def subgroup_fixing_coordinate(G: DiagonalGroup, i: int) -> DiagonalGroup:
     rows = [tuple(h[perm.index(j)] for j in range(n)) for h in H[1:]]
     rows.insert(i, tuple(d if j == i else 0 for j in range(n)))
     return _from_basis(G.context, tuple(rows))
+
+
+def _projection_orders(G: DiagonalGroup, S, a) -> tuple[int, int]:
+    """(|H_S|, m_S) for the projection H_S of G onto the coordinates S:
+    its order, and the order of a_S in (Z/d)^S / H_S.
+
+    The columns S of G's basis span H_S + dZ^S, so |H_S| = d^|S| / (product
+    of the pivots of their Hermite form), and m_S = [H_S + <a_S> : H_S] is
+    the quotient of the pivot products without and with a_S.
+    """
+    d = G.d
+    cols = [[b[i] for i in S] for b in G.basis]
+    index = prod(h[i] for i, h in enumerate(_hnf(cols, d, len(S))))
+    index_a = prod(h[i] for i, h in enumerate(_hnf(cols + [[a[i] for i in S]], d, len(S))))
+    return d ** len(S) // index, index // index_a
 
 
 def is_sl_subgroup(G: DiagonalGroup) -> bool:

@@ -119,6 +119,20 @@ def test_invalid_input_exit_two(capsys):
     assert "error:" in err
 
 
+def test_analyze_refuses_the_trivial_group(capsys):
+    # the help no longer offers "trivial": every group without g_0 is refused
+    code, out, err = run(capsys, "analyze", "x^2+y^3+z^6", "-g", "trivial")
+    assert (code, out) == (2, "")
+    assert err == "error: Dolgachev numbers need G containing g_0\n"
+
+
+def test_analyze_help_offers_no_trivial_group(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+    assert "G0 | Gfin | index:<k>" in out and "trivial" not in out
+
+
 def test_invalid_group_exit_two(capsys):
     code, _, err = run(capsys, "dolgachev", "x^2+y^3+z^4", "-g", "1/5(1,1,1)")
     assert code == 2
