@@ -33,7 +33,6 @@ from .symmetry import (  # noqa: F401
     is_sl_subgroup,
     junior_count,
     parse_group_spec,
-    subgroup_fixing_coordinate,
     subgroups_containing_g0,
     trivial_group,
 )

@@ -23,7 +23,7 @@ from .harness import (
     run_verification,
 )
 from .ip_core import canonical_weights, det, format_polynomial, parse_polynomial, transpose
-from .spectra import char_poly_qh, equivariant_char_poly, poincare_series, psi
+from .spectra import _qh_expansion, char_poly_qh, equivariant_char_poly, poincare_series, psi
 from .symmetry import dual_group, format_group, parse_group_spec
 
 __all__ = ["main"]
@@ -106,13 +106,16 @@ def _cmd_gabrielov(args):
 def _cmd_charpoly(args):
     f = _parse_poly(args.polynomial)
     G = parse_group_spec(f, args.group)
-    if G.order == 1:
-        exps, vec = char_poly_qh(f)
-        payload = {"charpoly": vec.to_json(), "degree": vec.degree,
-                   "exponents": [str(q) for q in exps]}
-    else:
+    payload = {}
+    if G.order != 1:
         vec = equivariant_char_poly(f, G)
-        payload = {"charpoly": vec.to_json(), "degree": vec.degree}
+    elif args.format == "json":
+        # only the JSON output prints the exponents
+        exps, vec = char_poly_qh(f)
+        payload["exponents"] = [str(q) for q in exps]
+    else:
+        vec = _qh_expansion(f)[2]
+    payload.update(charpoly=vec.to_json(), degree=vec.degree)
     _print(args, f"{vec}  (degree {vec.degree})", payload)
     return 0
 

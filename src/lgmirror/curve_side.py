@@ -17,10 +17,10 @@ from .errors import NonIntegral, NotContainingG0, NotReduced
 from .ip_core import InvertiblePolynomial, WeightSystem, classify3
 from .symmetry import (
     DiagonalGroup,
+    _coordinate_index,
     contains_g0,
     dual_group,
     junior_count,
-    subgroup_fixing_coordinate,
 )
 
 __all__ = [
@@ -96,17 +96,17 @@ def dolgachev(f: InvertiblePolynomial, G: DiagonalGroup) -> DolgachevData:
     per = []
     values = []
     for i in range(3):
-        K = subgroup_fixing_coordinate(GT, i)
-        index = GT.order // K.order
+        index = _coordinate_index(GT, i)
+        k_order = GT.order // index
         if alpha[i] % index != 0:
             raise NonIntegral(
                 f"alpha'_{i} = {alpha[i]} not divisible by {index}")
         value = alpha[i] // index
         per.append(CoordinateIsotropy(
-            alpha_prime=alpha[i], k_order=K.order, value=value,
-            multiplicity=K.order))
+            alpha_prime=alpha[i], k_order=k_order, value=value,
+            multiplicity=k_order))
         if value > 1:
-            values.extend([value] * K.order)
+            values.extend([value] * k_order)
     return DolgachevData(per_coordinate=tuple(per), multiset=tuple(sorted(values)))
 
 

@@ -23,10 +23,10 @@ from .ip_core import InvertiblePolynomial, transpose
 from .spectra import CycloVector
 from .symmetry import (
     DiagonalGroup,
+    _coordinate_index,
     format_phases,
     is_sl_subgroup,
     junior_count,
-    subgroup_fixing_coordinate,
 )
 
 __all__ = [
@@ -103,15 +103,15 @@ def gabrielov_from_gamma(gamma_prime, G: DiagonalGroup) -> GabrielovData:
     per = []
     values = []
     for i in range(3):
-        H = subgroup_fixing_coordinate(G, i)
-        index = G.order // H.order
+        index = _coordinate_index(G, i)
+        h_order = G.order // index
         if gamma_prime[i] % index != 0:
             raise NonIntegral(
                 f"gamma'_{i} = {gamma_prime[i]} not divisible by {index}")
         gt = gamma_prime[i] // index
-        per.append(CuspIsotropy(gamma_tilde=gt, h_order=H.order))
+        per.append(CuspIsotropy(gamma_tilde=gt, h_order=h_order))
         if gt > 1:
-            values.extend([gt] * H.order)
+            values.extend([gt] * h_order)
     j = junior_count(G)
     multiset = tuple(sorted(values))
     milnor = 2 - 2 * j + sum(g - 1 for g in multiset)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
+from operator import add
 
 from .errors import LGMirrorError, NonIntegral, NotASubgroup, NotGraded, NotPolynomial, NotSL
 from .ip_core import InvertiblePolynomial, canonical_weights, cf, classify3, reduced_weights, transpose
@@ -136,8 +137,8 @@ def _poly_div_one_minus_tm(coeffs: list[int], m: int) -> list[int]:
     # (1 - t^m) * Q = P  =>  q_j = p_j + q_{j-m}; the top m coefficients of
     # the running quotient must vanish for the division to be exact.
     q = list(coeffs)
-    for j in range(m, len(q)):
-        q[j] += q[j - m]
+    for r in range(min(m, len(q))):
+        q[r::m] = accumulate(q[r::m])
     if any(q[j] != 0 for j in range(max(0, len(q) - m), len(q))):
         raise NotPolynomial(f"division by (1 - t^{m}) is inexact")
     return q[: max(0, len(q) - m)] or [0]
@@ -322,6 +323,18 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVe
     :func:`equivariant_char_poly`; its degree is checked against the
     exponent count.
     """
+    dt, coeffs, vec = _qh_expansion(f)
+    exponents = []
+    for a, c in enumerate(coeffs):
+        if c:
+            exponents.extend([Fraction(a, dt)] * c)
+    return tuple(exponents), vec
+
+
+def _qh_expansion(f: InvertiblePolynomial) -> tuple[int, list[int], CycloVector]:
+    """(d~, coeffs, vec) for :func:`char_poly_qh`: coeffs[a] is the
+    multiplicity of the exponent a / d~, and vec is built from the counts
+    per residue a mod d~, so no exponent is materialised."""
     ws = reduced_weights(f)
     wt, dt = ws.w, ws.d
     coeffs = [1]
@@ -333,12 +346,10 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVe
         coeffs = _poly_div_one_minus_tm(coeffs, w)
     if any(c < 0 for c in coeffs):
         raise NotPolynomial("expansion produced negative multiplicities")
-    exponents = []
     residue_counts = [0] * dt
-    for a, c in enumerate(coeffs):
-        if c:
-            exponents.extend([Fraction(a, dt)] * c)
-            residue_counts[a % dt] += c
+    for start in range(0, len(coeffs), dt):
+        chunk = coeffs[start:start + dt]
+        residue_counts[:len(chunk)] = map(add, residue_counts, chunk)
     class_count: dict[int, int] = {}
     for r in range(dt):
         g = gcd(r, dt)
@@ -351,10 +362,10 @@ def char_poly_qh(f: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], CycloVe
     vec = CycloVector.from_entries(
         [(m, _moebius(dt // g // m) * count)
          for g, count in class_count.items() for m in _divisors(dt // g)])
-    if vec.degree != len(exponents):
+    if vec.degree != sum(residue_counts):
         raise NonIntegral(
-            f"degree {vec.degree} != exponent count {len(exponents)}")
-    return tuple(exponents), vec
+            f"degree {vec.degree} != exponent count {sum(residue_counts)}")
+    return dt, coeffs, vec
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ bases are, and |G| = d^n / (product of the pivots).
 Membership is reduction by the triangular basis, the Krawitz dual is an
 annihilator computed by integer linear algebra on n x n matrices, and the
 subgroup lattice between G_0 and G^fin is walked on bases, and so are the
-coordinate projections the trace formula counts with.  Elements are
-enumerated only where an invariant needs them (junior counts), and the
-formatter scans them lazily.
+coordinate projections the trace formula counts with.  No coordinate
+stabiliser is built: its index is the order of one column of the basis
+mod d.  Elements are enumerated only for the junior count, once per
+group, and the formatter scans them lazily.
 
 Every check is made on integer vectors.  One test, E u = 0 mod d, decides
 whether u / d is a symmetry; it serves group literals, G^fin, and (through
@@ -40,7 +41,6 @@ __all__ = [
     "group_from_generators",
     "dual_group",
     "junior_count",
-    "subgroup_fixing_coordinate",
     "is_sl_subgroup",
     "contains_g0",
     "subgroups_containing_g0",
@@ -57,7 +57,8 @@ class DiagonalGroup:
     ``basis`` is the Hermite normal form of the lattice G + dZ^n: row i is
     zero before column i, its pivot h_i divides d, and the entries above a
     pivot lie in [0, h_i).  Groups compare and hash by ``(context, basis)``;
-    ``order`` = d^n / prod h_i.  ``rows`` lists every element on first use.
+    ``order`` = d^n / prod h_i.  ``rows`` lists every element on first use,
+    and ``junior`` counts them once.
     """
 
     context: InvertiblePolynomial
@@ -69,6 +70,12 @@ class DiagonalGroup:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Every element as an integer vector mod d, in lexicographic order."""
         return tuple(_coset_reps(self, _hnf([], self.d, len(self.basis))))
+
+    @cached_property
+    def junior(self) -> int:
+        """Number of elements of age exactly 1 fixing only the origin."""
+        d = self.d
+        return sum(1 for u in self.rows if all(u) and sum(u) == d)
 
     def unfixed_monomial(self, E) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """The first generator (a basis row) and the first exponent row of E
@@ -162,16 +169,13 @@ def _member(basis, d: int, u) -> bool:
     return not any(_reduce(basis, d, u))
 
 
-def _from_basis(f: InvertiblePolynomial, basis) -> DiagonalGroup:
+def _group(f: InvertiblePolynomial, rows) -> DiagonalGroup:
     d = abs(det(f))
+    basis = _hnf(rows, d, f.n)
     index = 1
     for i, b in enumerate(basis):
         index *= b[i]
     return DiagonalGroup(context=f, basis=basis, d=d, order=d ** f.n // index)
-
-
-def _group(f: InvertiblePolynomial, rows) -> DiagonalGroup:
-    return _from_basis(f, _hnf(rows, abs(det(f)), f.n))
 
 
 def _fixes_monomials(E, u, d: int) -> bool:
@@ -280,25 +284,16 @@ def dual_group(f: InvertiblePolynomial, G: DiagonalGroup) -> DiagonalGroup:
 # junior elements and stabilisers
 
 def junior_count(G: DiagonalGroup) -> int:
-    """Number of elements of age exactly 1 fixing only the origin."""
-    d = G.d
-    return sum(1 for u in G.rows if all(u) and sum(u) == d)
+    """Number of elements of age exactly 1 fixing only the origin
+    (:attr:`DiagonalGroup.junior`, counted once per group)."""
+    return G.junior
 
 
-def subgroup_fixing_coordinate(G: DiagonalGroup, i: int) -> DiagonalGroup:
-    """Maximal subgroup of G whose elements have phase 0 at coordinate i.
-
-    With coordinate i moved to the front, the Hermite basis rows after the
-    first span exactly the elements vanishing there.  Moved back, and with
-    the row d e_i put in at position i, they are the Hermite basis of the
-    stabiliser.
-    """
-    n, d = len(G.basis), G.d
-    perm = [i] + [j for j in range(n) if j != i]
-    H = _hnf([[b[p] for p in perm] for b in G.basis], d, n)
-    rows = [tuple(h[perm.index(j)] for j in range(n)) for h in H[1:]]
-    rows.insert(i, tuple(d if j == i else 0 for j in range(n)))
-    return _from_basis(G.context, tuple(rows))
+def _coordinate_index(G: DiagonalGroup, i: int) -> int:
+    """|G| / |K_i| for the stabiliser K_i of coordinate i: the order of the
+    projection of G onto coordinate i, the cyclic group of (Z/d) generated
+    by column i of the basis (docs/LEDGER.md L3)."""
+    return G.d // gcd(G.d, *(b[i] for b in G.basis))
 
 
 def _projection_orders(G: DiagonalGroup, S, a) -> tuple[int, int]:
@@ -348,19 +343,22 @@ def subgroups_containing_g0(f: InvertiblePolynomial) -> tuple[DiagonalGroup, ...
     order, then by the sorted canonical coset representatives of G/G_0.
 
     Walks the subgroup lattice of the quotient G^fin/G_0 (order cf) upward,
-    adjoining one coset representative at a time and deduplicating by
-    canonical basis.
+    adjoining one coset of H at a time and deduplicating by canonical basis.
+    <H, x> depends only on x + H, so the coset representatives of
+    G^fin/G_0 are reduced by H first and each non-zero coset of H is
+    adjoined once (docs/LEDGER.md L3).
     """
     G0 = g0_group(f)
     reps = _coset_reps(gfin(f), G0.basis)
+    zero = (0,) * f.n
     found = {G0.basis: G0}
     frontier = [G0]
     while frontier:
         new = []
         for H in frontier:
-            for x in reps:
-                if _member(H.basis, H.d, x):
-                    continue
+            cosets = dict.fromkeys(_reduce(H.basis, H.d, x) for x in reps)
+            cosets.pop(zero, None)
+            for x in cosets:
                 T = _group(f, H.basis + (x,))
                 if T.basis not in found:
                     found[T.basis] = T

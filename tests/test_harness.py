@@ -1,6 +1,7 @@
 """Catalog, corpus enumeration, mirror verification, reports."""
 
 import json
+from collections import Counter
 
 import lgmirror.curve_side
 from lgmirror import (
@@ -135,15 +136,25 @@ def test_catalog_verification_passes():
     assert summary.counts["pass"] > 200
 
 
+def _failures_by_check(summary):
+    return Counter(r.check for r in summary.failures)
+
+
 def test_corrupted_alpha_table_is_caught(monkeypatch):
     # negative control: corrupt the per-type isotropy table and expect the
-    # C*-orbit comparison to flag it
+    # C*-orbit and closed-form psi comparisons to flag it.  The uncorrupted
+    # run already fails (literal poincare checks), so each of those two kinds
+    # must fail more often than it does there.
+    baseline = _failures_by_check(run_verification("corpus", max_det=30, max_exp=3))
     rules = dict(lgmirror.curve_side._ALPHA_RULES)
     rules["I"] = lambda p: (p[0] + 1, p[1], p[2])
     monkeypatch.setattr(lgmirror.curve_side, "_ALPHA_RULES", rules)
     summary = run_verification("corpus", max_det=30, max_exp=3)
     assert summary.counts["fail"] > 0
     assert summary.exit_code == 1
+    failures = _failures_by_check(summary)
+    for check in ("orbit-invariants", "psi-closed-form"):
+        assert failures[check] > baseline[check], (check, failures, baseline)
 
 
 def test_small_corpus_mirror_checks_pass():
