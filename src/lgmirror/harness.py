@@ -18,7 +18,9 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from importlib import resources
+from typing import Callable
 
 from .errors import LGMirrorError
 from .curve_side import (
@@ -80,7 +82,7 @@ __all__ = [
 @dataclass(frozen=True)
 class MirrorReport:
     polynomial: str
-    group: str
+    G: DiagonalGroup
     dolgachev: tuple[int, ...]
     gabrielov: tuple[int, ...]
     genus: int
@@ -88,6 +90,11 @@ class MirrorReport:
     e_st: int
     mu: int
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def group(self) -> str:
+        """The group's generators, formatted on first read."""
+        return format_group(self.G)
 
     @property
     def a_eq_gamma(self) -> bool:
@@ -112,7 +119,7 @@ def verify_mirror(f: InvertiblePolynomial, G: DiagonalGroup) -> MirrorReport:
     GT = dual_group(f, G)
     gd = gabrielov(transpose(f), GT)
     return MirrorReport(
-        polynomial=format_polynomial(f), group=format_group(G),
+        polynomial=format_polynomial(f), G=G,
         dolgachev=ci.dolgachev.multiset, gabrielov=gd.multiset, genus=ci.genus, junior=gd.j,
         e_st=ci.e_st, mu=gd.milnor)
 
@@ -202,12 +209,30 @@ def enumerate_corpus(max_det: int, max_exp: int):
 # ---------------------------------------------------------------------------
 # verification runs
 
-@dataclass(frozen=True)
 class CheckResult:
-    item: str
-    check: str
-    status: str  # "pass" | "fail" | "n/a"
-    detail: str = ""
+    """One check of one item: ``item``, ``check``, ``status`` ("pass" |
+    "fail" | "n/a") and ``detail``.
+
+    The item may be given as a zero-argument callable returning its name;
+    it is called on the first read of ``item``, so the names of passing
+    checks, which no report prints, are never built.
+    """
+
+    __slots__ = ("_item", "check", "status", "detail")
+
+    def __init__(self, item: str | Callable[[], str], check: str, status: str,
+                 detail: str = ""):
+        self._item, self.check, self.status, self.detail = item, check, status, detail
+
+    @property
+    def item(self) -> str:
+        if callable(self._item):
+            self._item = self._item()
+        return self._item
+
+    def __repr__(self):
+        return (f"CheckResult(item={self.item!r}, check={self.check!r}, "
+                f"status={self.status!r}, detail={self.detail!r})")
 
 
 @dataclass
@@ -215,10 +240,10 @@ class VerificationSummary:
     scope: str
     results: list[CheckResult] = field(default_factory=list)
 
-    def add(self, item: str, check: str, ok: bool, detail: str = ""):
+    def add(self, item: str | Callable[[], str], check: str, ok: bool,
+            detail: str = ""):
         self.results.append(CheckResult(
-            item=item, check=check, status="pass" if ok else "fail",
-            detail="" if ok else detail))
+            item, check, "pass" if ok else "fail", "" if ok else detail))
 
     def add_na(self, item: str, check: str, detail: str = ""):
         self.results.append(CheckResult(item, check, "n/a", detail))
@@ -268,6 +293,10 @@ def _mirror_detail(rep: MirrorReport) -> str:
     if not rep.e_eq_mu:
         parts.append(f"e_st = {rep.e_st} != mu = {rep.mu}")
     return "; ".join(parts)
+
+
+def _pair_item(name: str, G: DiagonalGroup) -> str:
+    return f"{name} | {format_group(G)}"
 
 
 def _check_expected(summary, item, key, computed, expected_pair):
@@ -395,7 +424,7 @@ def run_corpus_verification(max_det: int = 300, max_exp: int = 8) -> Verificatio
                             "psi(f, G_0) != phi(f^T, G_0^T)")
             for G in subgroups_containing_g0(f):
                 rep = verify_mirror(f, G)
-                summary.add(f"{name} | {rep.group}", "mirror", rep.all_ok,
+                summary.add(partial(_pair_item, name, G), "mirror", rep.all_ok,
                             _mirror_detail(rep))
         except LGMirrorError as exc:
             summary.add(name, "evaluation", False, f"error: {exc}")

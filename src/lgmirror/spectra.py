@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import gcd
+from math import gcd, prod
 from operator import add
 
 from .errors import LGMirrorError, NonIntegral, NotASubgroup, NotGraded, NotPolynomial, NotSL
@@ -255,7 +255,8 @@ def _sector_exponents(f: InvertiblePolynomial, G: DiagonalGroup) -> dict[int, in
     Raises NonIntegral unless m divides C_m for every m.  That is the whole
     integrality content of the trace formula: it makes every C_m, hence
     every L_k, an integer, and L_k = sum_{m | k} m e(m) holds for all k by
-    construction.
+    construction.  The sums are kept in integers, scaled by
+    K = |G| prod_i w~_i, which clears every denominator of c_S.
     """
     if G.context != f:
         raise NotASubgroup("group context does not match the polynomial")
@@ -267,20 +268,21 @@ def _sector_exponents(f: InvertiblePolynomial, G: DiagonalGroup) -> dict[int, in
     ws = reduced_weights(f)
     wt, dt = ws.w, ws.d
     a = [w * (G.d // dt) % G.d for w in wt]
-    sums: dict[int, Fraction] = {}
+    # K c_S = +-(|G| / |H_S|)^2 dt^|S| prod_{i not in S} wt_i is an integer
+    K = G.order * prod(wt)
+    sums: dict[int, int] = {}
     for size in range(f.n + 1):
         for S in combinations(range(f.n), size):
             order, m = _projection_orders(G, S, a)
-            c = Fraction(G.order, order * order)
-            for i in S:
-                c *= Fraction(dt, wt[i])
+            c = ((G.order // order) ** 2 * dt ** size
+                 * prod(w for i, w in enumerate(wt) if i not in S))
             sums[m] = sums.get(m, 0) + (c if size % 2 else -c)
     exponents = {}
     for m, c in sums.items():
-        e = c / m
-        if e.denominator != 1:
-            raise NonIntegral(f"C_{m} = {c} is not divisible by {m}")
-        exponents[m] = int(e)
+        e, r = divmod(c, K * m)
+        if r:
+            raise NonIntegral(f"C_{m} = {Fraction(c, K)} is not divisible by {m}")
+        exponents[m] = e
     return exponents
 
 
@@ -303,9 +305,9 @@ def equivariant_char_poly(f: InvertiblePolynomial, G: DiagonalGroup) -> CycloVec
     """Signed product over the sectors of G (inside SL) of the monodromy
     characteristic polynomials, prod_m (1 - t^m)^{e(m)}.
 
-    At most eight subsets S of the coordinates contribute, each through the
-    orders of two Hermite forms; neither the elements of G nor the d~ traces
-    are built.  Raises NonIntegral where an exponent is not an integer.
+    At most eight subsets S of the coordinates contribute, each through at
+    most one Hermite form; neither the elements of G nor the d~ traces are
+    built.  Raises NonIntegral where an exponent is not an integer.
     """
     return CycloVector.from_entries(_sector_exponents(f, G))
 

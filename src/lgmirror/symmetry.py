@@ -10,11 +10,13 @@ bases are, and |G| = d^n / (product of the pivots).
 
 Membership is reduction by the triangular basis, the Krawitz dual is an
 annihilator computed by integer linear algebra on n x n matrices, and the
-subgroup lattice between G_0 and G^fin is walked on bases, and so are the
-coordinate projections the trace formula counts with.  No coordinate
-stabiliser is built: its index is the order of one column of the basis
-mod d.  Elements are enumerated only for the junior count, once per
-group, and the formatter scans them lazily.
+subgroup lattice between G_0 and G^fin is walked on bases.  The coordinate
+projections the trace formula counts with cost one Hermite form of a few
+basis columns each (none for all coordinates, whose form is the basis),
+and the order of a vector modulo a projection is read off that triangle.
+No coordinate stabiliser is built: its index is the order of one column
+of the basis mod d.  Elements are enumerated only for the junior count,
+once per group, and the formatter scans them lazily.
 
 Every check is made on integer vectors.  One test, E u = 0 mod d, decides
 whether u / d is a symmetry; it serves group literals, G^fin, and (through
@@ -28,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import NotASubgroup, NotASymmetry, NotInvertible
 from .ip_core import InvertiblePolynomial, canonical_weights, det, scaled_inverse, transpose
@@ -301,14 +303,29 @@ def _projection_orders(G: DiagonalGroup, S, a) -> tuple[int, int]:
     its order, and the order of a_S in (Z/d)^S / H_S.
 
     The columns S of G's basis span H_S + dZ^S, so |H_S| = d^|S| / (product
-    of the pivots of their Hermite form), and m_S = [H_S + <a_S> : H_S] is
-    the quotient of the pivot products without and with a_S.
+    of the pivots h_j of their Hermite form B); for S = all coordinates, B
+    is G's basis itself.  m_S is the least m with m a_S in the lattice of B,
+    found by clearing a_S down the triangle: at pivot j the vector u must
+    be scaled by t = h_j / gcd(h_j, u_j) to make u_j a multiple of h_j, and
+    subtracting (t u_j / h_j) B_j then zeroes it (docs/LEDGER.md L2).
     """
+    if not S:
+        return 1, 1
     d = G.d
-    cols = [[b[i] for i in S] for b in G.basis]
-    index = prod(h[i] for i, h in enumerate(_hnf(cols, d, len(S))))
-    index_a = prod(h[i] for i, h in enumerate(_hnf(cols + [[a[i] for i in S]], d, len(S))))
-    return d ** len(S) // index, index // index_a
+    if len(S) == len(G.basis):
+        B = G.basis
+    else:
+        B = _hnf([[b[i] for i in S] for b in G.basis], d, len(S))
+    u = [a[i] for i in S]
+    index = m = 1
+    for j, row in enumerate(B):
+        h = row[j]
+        index *= h
+        t = h // gcd(h, u[j])
+        m *= t
+        q = t * u[j] // h
+        u = [t * x - q * y for x, y in zip(u, row)]
+    return d ** len(S) // index, m
 
 
 def is_sl_subgroup(G: DiagonalGroup) -> bool:

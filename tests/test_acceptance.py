@@ -359,7 +359,12 @@ def test_criterion_8_structural_invariants(corpus_fs, corpus_pairs):
         check(free == 2 * junior_count(GT), f"2j count {name}")
         gp = gabrielov_prime(transpose(f)).gamma_prime
         cusp = gabrielov_from_gamma(gp, GT)
-        check(cusp.char_poly.degree == cusp.milnor, f"charpoly degree {name}")
+        # mu against the orbifold Euler characteristic of the dual pair
+        # (Ebeling-Gusein-Zade, arXiv:1107.5542): |G| (sum q_i - 1) plus the
+        # degree of phi(f^T, G^T), which comes from the traces, not from j
+        phi = equivariant_char_poly(transpose(f), GT)
+        check(cusp.milnor == G.order * (sum(canonical_weights(f).q) - 1) + phi.degree,
+              f"milnor from charpoly degree {name}")
 
     for f in corpus_fs:
         name = format_polynomial(f)

@@ -7,8 +7,10 @@ import pytest
 from lgmirror import (
     NotSL,
     NotSymmetryOfCusp,
+    canonical_weights,
     delta,
     dual_group,
+    equivariant_char_poly,
     g0_group,
     gabrielov,
     gabrielov_prime,
@@ -88,11 +90,15 @@ def test_cusp_milnor_trivial():
 
 
 def test_degree_equals_milnor(corpus_fs):
+    # mu = |G| (sum q_i - 1) + deg phi(f^T, G^T), phi from the traces
+    # (Ebeling-Gusein-Zade, arXiv:1107.5542)
     for f in corpus_fs[::17]:
-        GT = dual_group(f, g0_group(f))
+        G = g0_group(f)
+        GT = dual_group(f, G)
         gp = gabrielov_prime(transpose(f)).gamma_prime
         data = gabrielov_from_gamma(gp, GT)
-        assert data.char_poly.degree == data.milnor
+        phi = equivariant_char_poly(transpose(f), GT)
+        assert data.milnor == G.order * (sum(canonical_weights(f).q) - 1) + phi.degree
 
 
 def test_rejects_non_sl_group():

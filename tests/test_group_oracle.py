@@ -4,9 +4,12 @@ For every member of the corpus enumerate_polynomials(6, 150), and for every
 catalog polynomial and its transpose, the groups G^fin, G_0, every group
 between them (in the same order) and the Krawitz dual of each have the same
 elements, order and printed generators as the closures, brute-force dual
-walks and greedy formatter of the oracle.  The coordinate stabiliser orders
-and junior counts of the duals are checked against the enumerated elements.
+walks and greedy formatter of the oracle.  The coordinate stabiliser orders,
+junior counts and coordinate projections of the duals are checked against
+the enumerated elements.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -21,10 +24,11 @@ from lgmirror import (
     junior_count,
     parse_group_spec,
     parse_polynomial,
+    reduced_weights,
     subgroups_containing_g0,
     transpose,
 )
-from lgmirror.symmetry import _coordinate_index
+from lgmirror.symmetry import _coordinate_index, _projection_orders
 
 
 def _same(G, want, what):
@@ -42,6 +46,15 @@ def _check_dual(f, G, want, what):
     d = want_t.d
     assert junior_count(GT) == sum(
         1 for u in want_t.elements if all(u) and sum(u) == d), what
+    # |H_S| and m_S of the trace formula, with a = g_0 of f^T as spectra takes it
+    red = reduced_weights(transpose(f))
+    a = [w * (d // red.d) % d for w in red.w]
+    for size in range(f.n + 1):
+        for S in combinations(range(f.n), size):
+            image = {tuple(u[i] for i in S) for u in want_t.elements}
+            m = next(k for k in range(1, d + 1)
+                     if tuple(k * a[i] % d for i in S) in image)
+            assert _projection_orders(GT, S, a) == (len(image), m), (what, S)
 
 
 def _check_polynomial(f):

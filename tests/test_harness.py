@@ -1,16 +1,20 @@
 """Catalog, corpus enumeration, mirror verification, reports."""
 
+import dataclasses
 import json
 from collections import Counter
 
 import lgmirror.curve_side
+import lgmirror.harness
 from lgmirror import (
     analyze,
     builtin_catalog,
     det,
     emit_report,
+    enumerate_corpus,
     enumerate_polynomials,
     dual_group,
+    format_group,
     format_polynomial,
     g0_group,
     gfin,
@@ -155,6 +159,26 @@ def test_corrupted_alpha_table_is_caught(monkeypatch):
     failures = _failures_by_check(summary)
     for check in ("orbit-invariants", "psi-closed-form"):
         assert failures[check] > baseline[check], (check, failures, baseline)
+
+
+def test_corrupted_milnor_number_is_caught(monkeypatch):
+    # negative control for the mirror check: shift mu on the cusp side and
+    # expect every pair to fail, named by its polynomial and group exactly as
+    # an eagerly formatted item would be
+    real = lgmirror.harness.gabrielov
+
+    def shifted(f, G):
+        gd = real(f, G)
+        return dataclasses.replace(gd, milnor=gd.milnor + 1)
+
+    monkeypatch.setattr(lgmirror.harness, "gabrielov", shifted)
+    summary = run_verification("corpus", max_det=30, max_exp=3)
+    mirror = [r for r in summary.results if r.check == "mirror"]
+    assert mirror and all(r.status == "fail" for r in mirror)
+    assert all("e_st = " in r.detail and "!= mu = " in r.detail for r in mirror)
+    assert [r.item for r in mirror] == [
+        f"{format_polynomial(f)} | {format_group(G)}"
+        for f, G in enumerate_corpus(30, 3)]
 
 
 def test_small_corpus_mirror_checks_pass():
