@@ -24,6 +24,7 @@ from typing import Callable
 
 from .errors import LGMirrorError
 from .curve_side import (
+    CurveInvariants,
     curve_invariants,
     dolgachev,
     dolgachev_gfin,
@@ -43,11 +44,12 @@ from .ip_core import (
     transpose,
 )
 from .spectra import (
+    _poincare_verdict,
+    _psi,
     equivariant_char_poly,
     poincare_series,
     psi,
     psi_closed_form,
-    verify_poincare_theorem,
 )
 from .symmetry import (
     DiagonalGroup,
@@ -115,7 +117,12 @@ class MirrorReport:
 
 def verify_mirror(f: InvertiblePolynomial, G: DiagonalGroup) -> MirrorReport:
     """Check the three mirror identities for G_0 <= G <= G^fin."""
-    ci = curve_invariants(f, G)
+    return _mirror_report(f, G, curve_invariants(f, G))
+
+
+def _mirror_report(f: InvertiblePolynomial, G: DiagonalGroup,
+                   ci: CurveInvariants) -> MirrorReport:
+    """:func:`verify_mirror` given the curve invariants ci of (f, G)."""
     GT = dual_group(f, G)
     gd = gabrielov(transpose(f), GT)
     return MirrorReport(
@@ -409,21 +416,22 @@ def run_corpus_verification(max_det: int = 300, max_exp: int = 8) -> Verificatio
         name = format_polynomial(f)
         try:
             G0 = g0_group(f)
+            ci0 = curve_invariants(f, G0)
             strange_ok = (orbit_invariants(reduced_weights(f))
-                          == dolgachev(f, G0).multiset)
+                          == ci0.dolgachev.multiset)
             summary.add(name, "orbit-invariants", strange_ok,
                         "C*-orbit invariants differ from the isotropy multiset")
-            summary.add(name, "psi-closed-form",
-                        psi_closed_form(f) == psi(f, G0),
+            psi0 = _psi(poincare_series(f, G0), ci0.genus, ci0.dolgachev.multiset)
+            summary.add(name, "psi-closed-form", psi_closed_form(f) == psi0,
                         "closed-form psi differs from the assembled one")
-            verdict = verify_poincare_theorem(f)
+            verdict = _poincare_verdict(f, ci0.genus, psi0)
             if not verdict.applicable:
                 summary.add_na(name, "poincare", verdict.reason or "")
             else:
                 summary.add(name, "poincare", verdict.equal,
                             "psi(f, G_0) != phi(f^T, G_0^T)")
             for G in subgroups_containing_g0(f):
-                rep = verify_mirror(f, G)
+                rep = _mirror_report(f, G, ci0 if G == G0 else curve_invariants(f, G))
                 summary.add(partial(_pair_item, name, G), "mirror", rep.all_ok,
                             _mirror_detail(rep))
         except LGMirrorError as exc:

@@ -250,20 +250,36 @@ def _det_int(M: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _adjugate_int(M: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Adjugate matrix (transpose of cofactors), exact integers."""
+    """Adjugate matrix (transpose of cofactors) of a non-singular integer
+    matrix, by one fraction-free Gauss-Jordan pass on [M | I].
+
+    Each step k clears column k in every other row by
+    row_i <- (p row_i - a_ik row_k) / prev, p the pivot and prev the one
+    before; by Bareiss's identity every entry is then a minor of [M | I],
+    so the division is exact.  The pass leaves [D I | A] with D = det(P M)
+    for the row swaps P it made, so A = D (P M)^{-1} = +-adj(M), the sign
+    being that of P.
+    """
     n = len(M)
-    if n == 1:
-        return ((1,),)
-
-    def minor(r, c):
-        sub = tuple(
-            tuple(M[i][j] for j in range(n) if j != c)
-            for i in range(n) if i != r)
-        return _det_int(sub)
-
-    return tuple(
-        tuple((-1) ** (r + c) * minor(r, c) for r in range(n))
-        for c in range(n))
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                raise NotInvertible("singular matrix has no adjugate by elimination")
+        p, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                c = a[i][k]
+                a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 @lru_cache(maxsize=None)
@@ -477,6 +493,7 @@ def canonical_weights(f: InvertiblePolynomial) -> WeightSystem:
     return WeightSystem(w=w, d=d, cf=c, q=q)
 
 
+@lru_cache(maxsize=None)
 def reduced_weights(f: InvertiblePolynomial) -> WeightSystem:
     """Canonical system divided by cf; has gcd 1."""
     ws = canonical_weights(f)

@@ -177,10 +177,12 @@ def poincare_series(f: InvertiblePolynomial, G: DiagonalGroup) -> CycloVector:
 def psi(f: InvertiblePolynomial, G: DiagonalGroup) -> CycloVector:
     """Poincare series times (1-t)^{2-2g} prod_alpha (1-t^alpha)/(1-t)."""
     p = poincare_series(f, G)
-    g = genus(f, G)
-    A = dolgachev(f, G).multiset
-    extra = [(1, 2 - 2 * g - len(A))] + [(a, 1) for a in A]
-    return p * CycloVector.from_entries(extra)
+    return _psi(p, genus(f, G), dolgachev(f, G).multiset)
+
+
+def _psi(p: CycloVector, g: int, A: tuple[int, ...]) -> CycloVector:
+    """psi from the Poincare series p, the genus g and the Dolgachev numbers A."""
+    return p * CycloVector.from_entries([(1, 2 - 2 * g - len(A))] + [(a, 1) for a in A])
 
 
 def _exact(a: int, b: int) -> int:
@@ -400,17 +402,20 @@ def verify_poincare_theorem(f: InvertiblePolynomial) -> PoincareVerdict:
     (cf(f) = 1; Ebeling-Takahashi, Compositio Math. 147, 2011).  See
     docs/LEDGER.md.
     """
+    G0 = g0_group(f)
+    return _poincare_verdict(f, genus(f, G0), psi(f, G0))
+
+
+def _poincare_verdict(f: InvertiblePolynomial, g: int, left: CycloVector) -> PoincareVerdict:
+    """:func:`verify_poincare_theorem` given the genus g and psi(f, G_0)."""
     ft = transpose(f)
     if cf(f) != cf(ft):
         return PoincareVerdict(
             status="not_applicable",
             reason=f"cf(f) = {cf(f)} != cf(f^T) = {cf(ft)}", psi=None, phi=None)
-    G0 = g0_group(f)
-    g = genus(f, G0)
     if g != 0:
         return PoincareVerdict(
             status="not_applicable", reason=f"genus = {g} != 0", psi=None, phi=None)
-    left = psi(f, G0)
-    right = equivariant_char_poly(ft, dual_group(f, G0))
+    right = equivariant_char_poly(ft, dual_group(f, g0_group(f)))
     status = "equal" if left == right else "not_equal"
     return PoincareVerdict(status=status, reason=None, psi=left, phi=right)

@@ -71,7 +71,7 @@ class DiagonalGroup:
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Every element as an integer vector mod d, in lexicographic order."""
-        return tuple(_coset_reps(self, _hnf([], self.d, len(self.basis))))
+        return tuple(_coset_reps(self, _scalar_basis(self.d, len(self.basis))))
 
     @cached_property
     def junior(self) -> int:
@@ -155,6 +155,11 @@ def _hnf(rows, d: int, n: int) -> tuple[tuple[int, ...], ...]:
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
     return tuple(tuple(b) for b in basis)
+
+
+def _scalar_basis(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """d I: the Hermite basis of d Z^n, i.e. of the trivial group."""
+    return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _reduce(basis, d: int, u) -> tuple[int, ...]:
@@ -362,21 +367,31 @@ def subgroups_containing_g0(f: InvertiblePolynomial) -> tuple[DiagonalGroup, ...
     Walks the subgroup lattice of the quotient G^fin/G_0 (order cf) upward,
     adjoining one coset of H at a time and deduplicating by canonical basis.
     <H, x> depends only on x + H, so the coset representatives of
-    G^fin/G_0 are reduced by H first and each non-zero coset of H is
-    adjoined once (docs/LEDGER.md L3).
+    G^fin/G_0 are reduced by H first, and it depends only on the cyclic
+    subgroup of G^fin/H that x + H generates, so after adjoining x every
+    k x + H with k prime to the order of x + H is passed over
+    (docs/LEDGER.md L3).
     """
     G0 = g0_group(f)
     reps = _coset_reps(gfin(f), G0.basis)
+    d = G0.d
     zero = (0,) * f.n
     found = {G0.basis: G0}
     frontier = [G0]
     while frontier:
         new = []
         for H in frontier:
-            cosets = dict.fromkeys(_reduce(H.basis, H.d, x) for x in reps)
+            cosets = dict.fromkeys(_reduce(H.basis, d, x) for x in reps)
             cosets.pop(zero, None)
+            done = set()
             for x in cosets:
+                if x in done:
+                    continue
                 T = _group(f, H.basis + (x,))
+                r = T.order // H.order  # the order of x + H
+                for k in range(2, r):
+                    if gcd(k, r) == 1:
+                        done.add(_reduce(H.basis, d, [k * a % d for a in x]))
                 if T.basis not in found:
                     found[T.basis] = T
                     new.append(T)
@@ -455,7 +470,7 @@ def _minimal_generators(G: DiagonalGroup) -> list[tuple[int, ...]]:
         o = _order(basis[i], d)
         tail_exp[i] = tail_exp[i + 1] * o // gcd(tail_exp[i + 1], o)
     e = tail_exp[0]
-    span = _hnf([], d, n)
+    span = _scalar_basis(d, n)
     tail_inside = [False] * n + [True]  # G_i inside the span
 
     def scan(i, y):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import sys
 from collections import Counter
 
 import lgmirror.curve_side
 import lgmirror.harness
 from lgmirror import (
+    NonIntegral,
     analyze,
     builtin_catalog,
     det,
@@ -23,6 +25,7 @@ from lgmirror import (
     parse_group_spec,
     parse_polynomial,
     run_verification,
+    transpose,
     subgroups_containing_g0,
     verify_mirror,
 )
@@ -179,6 +182,59 @@ def test_corrupted_milnor_number_is_caught(monkeypatch):
     assert [r.item for r in mirror] == [
         f"{format_polynomial(f)} | {format_group(G)}"
         for f, G in enumerate_corpus(30, 3)]
+
+
+def _count_calls(monkeypatch, real):
+    """Wrap ``real`` with a call counter in every lgmirror module that binds it."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lgmirror" and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counted)
+    return calls
+
+
+def test_corpus_sweep_computes_curve_invariants_once_per_pair(monkeypatch):
+    # the Dolgachev numbers of (f, G_0) serve the orbit-invariant, psi,
+    # Poincare and mirror checks alike; the genus is computed once more per
+    # polynomial, by the closed form of psi that it is compared with
+    dolgachev_calls = _count_calls(monkeypatch, lgmirror.curve_side.dolgachev)
+    genus_calls = _count_calls(monkeypatch, lgmirror.curve_side.genus)
+    summary = run_verification("corpus", 60, 4)
+    assert summary.results
+    pairs = len(list(enumerate_corpus(60, 4)))
+    assert dolgachev_calls[0] == pairs
+    assert genus_calls[0] == pairs + len(enumerate_polynomials(4, 60))
+
+
+def test_evaluation_error_keeps_earlier_checks(monkeypatch):
+    # an error in the mirror check of (f, G_0) ends that polynomial's checks
+    # after its three per-polynomial checks, and leaves the others untouched
+    target = parse_polynomial("x^3+y^3+y*z^2")
+    bad = (transpose(target), dual_group(target, g0_group(target)))
+    real = lgmirror.harness.gabrielov
+
+    def failing(f, G):
+        if (f, G) == bad:
+            raise NonIntegral("injected")
+        return real(f, G)
+
+    monkeypatch.setattr(lgmirror.harness, "gabrielov", failing)
+    summary = run_verification("corpus", max_det=30, max_exp=3)
+    name = format_polynomial(target)
+    mine = [r for r in summary.results
+            if r.item == name or r.item.startswith(name + " | ")]
+    assert [r.check for r in mine] == [
+        "orbit-invariants", "psi-closed-form", "poincare", "evaluation"]
+    assert mine[-1].detail == "error: injected"
+    mirror = [r for r in summary.results if r.check == "mirror"]
+    assert len(mirror) == (len(list(enumerate_corpus(30, 3)))
+                           - len(subgroups_containing_g0(target)))
+    assert all(r.status == "pass" for r in mirror)
 
 
 def test_small_corpus_mirror_checks_pass():

@@ -1,5 +1,6 @@
 """Parsing, transposition, decomposition, classification, weights."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from lgmirror import (
     transpose,
     validate_invertible,
 )
-from lgmirror.ip_core import scaled_inverse
+from lgmirror.ip_core import _adjugate_int, scaled_inverse
 
 
 def solve_weights_cramer(E, d):
@@ -246,6 +247,49 @@ def test_scaled_inverse_and_weights(corpus_fs):
                     assert sum(g.E[i][k] * M[k][j] for k in range(n)) == want
                     assert sum(M[i][k] * g.E[k][j] for k in range(n)) == want
             assert tuple(sum(row) for row in M) == ws.w
+
+
+def _cofactor_det(M):
+    """Independent oracle: Laplace expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _cofactor_adjugate(M):
+    n = len(M)
+    return tuple(
+        tuple((-1) ** (r + c) * _cofactor_det(
+            [row[:c] + row[c + 1:] for i, row in enumerate(M) if i != r])
+            for r in range(n))
+        for c in range(n))
+
+
+def test_adjugate_against_cofactor_oracle():
+    """One Gauss-Jordan pass equals the cofactor adjugate, including matrices
+    whose leading pivots vanish (row swaps) and negative determinants."""
+    rng = random.Random(20111)
+    cases = [((-3,),), ((0, 1), (1, 0)), ((0, 2, 1), (0, 1, 3), (5, 0, 0)),
+             ((1, 1, 0), (1, 1, 1), (0, 2, 1))]
+    for n in range(1, 6):
+        for _ in range(40):
+            M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                for row in M[: rng.randint(1, n)]:
+                    row[0] = 0  # zero leading pivot: forces a row swap
+            cases.append(tuple(map(tuple, M)))
+    signs = set()
+    swapped = 0
+    for M in cases:
+        dd = _cofactor_det([list(row) for row in M])
+        if dd == 0:
+            continue
+        signs.add(dd > 0)
+        swapped += M[0][0] == 0
+        assert _adjugate_int(M) == _cofactor_adjugate([list(row) for row in M]), M
+    assert signs == {True, False} and swapped > 20
 
 
 def test_weights_monomial_order_invariant():
